@@ -155,7 +155,7 @@ int main() {
   for (const unsigned k : {8u, 12u}) {
     const EcScript script = make_ec_script(k, rounds, routes);
     const EcLane bdd = run_ec_churn(dpm::BackendKind::kBdd, script);
-    const EcLane interval = run_ec_churn(dpm::BackendKind::kInterval, script);
+    const EcLane interval = run_ec_churn(dpm::BackendKind::kAuto, script);
 
     if (bdd.ec_trace != interval.ec_trace || bdd.scan_hits != interval.scan_hits ||
         bdd.witnesses != interval.witnesses) {
@@ -202,7 +202,7 @@ int main() {
     }
 
     const VerifyLane bdd = run_verify_churn(dpm::BackendKind::kBdd, topo, sequence);
-    const VerifyLane interval = run_verify_churn(dpm::BackendKind::kInterval, topo, sequence);
+    const VerifyLane interval = run_verify_churn(dpm::BackendKind::kAuto, topo, sequence);
     if (bdd.pair_trace != interval.pair_trace || bdd.final_ecs != interval.final_ecs) {
       std::fprintf(stderr, "FAIL: backends diverge on the verify-layer churn\n");
       ok = false;

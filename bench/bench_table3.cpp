@@ -98,8 +98,8 @@ int main() {
   // migrates); the T1 column is where the backends differ.
   ChangeRow t1_reference[2];  // per-backend LinkFailure rows, for the summary
   for (const dpm::BackendKind backend :
-       {dpm::BackendKind::kBdd, dpm::BackendKind::kInterval}) {
-    const bool interval = backend == dpm::BackendKind::kInterval;
+       {dpm::BackendKind::kBdd, dpm::BackendKind::kAuto}) {
+    const bool interval = backend == dpm::BackendKind::kAuto;
     std::printf("\n--- packet-space backend: %s ---\n\n", dpm::to_string(backend));
     config::NetworkConfig cfg = config::build_bgp_network(topo);
 

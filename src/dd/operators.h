@@ -1,7 +1,7 @@
 #pragma once
 
-// The incremental operator library: Input, Map, FlatMap, Filter, Concat,
-// Join, Reduce, Distinct, Inspect, Output.
+// The incremental operator library: Input, Map, Filter, Negate, Concat,
+// Join, Reduce, Distinct, Output.
 //
 // Every operator keeps whatever persistent state it needs (join
 // arrangements, reduce groups, distinct counts) so that processing a delta
@@ -10,6 +10,7 @@
 // computation" the paper borrows from differential dataflow.
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -111,42 +112,6 @@ class Map final : public OperatorBase {
   }
 
   // Stateless: only the pending buffer, which a restore discards.
-  std::shared_ptr<const void> save_state() const override { return nullptr; }
-  void load_state(const void*) override { pending_.clear(); }
-
-  Stream<Out> out;
-
- private:
-  Fn fn_;
-  ZSet<In> pending_;
-};
-
-/// One-to-many transform; each produced tuple inherits the input weight.
-template <class In, class Out>
-class FlatMap final : public OperatorBase {
- public:
-  using Fn = std::function<void(const In&, std::vector<Out>&)>;
-
-  FlatMap(Graph& graph, Stream<In>& upstream, Fn fn, std::string name = "flat_map")
-      : OperatorBase(graph, std::move(name)), fn_(std::move(fn)) {
-    upstream.subscribe([this](const ZSet<In>& d) {
-      pending_.merge(d);
-      graph_.schedule(*this);
-    });
-  }
-
-  void flush() override {
-    ZSet<Out> delta;
-    std::vector<Out> scratch;
-    for (const auto& [t, w] : pending_) {
-      scratch.clear();
-      fn_(t, scratch);
-      for (Out& o : scratch) delta.add(std::move(o), w);
-    }
-    pending_.clear();
-    detail::emit_delta(graph_, *this, out, delta);
-  }
-
   std::shared_ptr<const void> save_state() const override { return nullptr; }
   void load_state(const void*) override { pending_.clear(); }
 
@@ -260,7 +225,9 @@ class Concat final : public OperatorBase {
 template <class K, class A, class B, class Out>
 class Join final : public OperatorBase {
  public:
-  using Fn = std::function<Out(const K&, const A&, const B&)>;
+  /// nullopt derives nothing. `fn` must be deterministic: a retraction
+  /// re-evaluates it and must reject exactly what the insertion rejected.
+  using Fn = std::function<std::optional<Out>(const K&, const A&, const B&)>;
 
   Join(Graph& graph, Stream<std::pair<K, A>>& left, Stream<std::pair<K, B>>& right, Fn fn,
        std::string name = "join")
@@ -287,7 +254,7 @@ class Join final : public OperatorBase {
       auto it = right_.find(ka.first);
       if (it == right_.end()) continue;
       for (const auto& [b, wb] : it->second) {
-        delta.add(fn_(ka.first, ka.second, b), wa * wb);
+        if (auto o = fn_(ka.first, ka.second, b)) delta.add(std::move(*o), wa * wb);
       }
     }
     apply(left_, da);
@@ -296,7 +263,7 @@ class Join final : public OperatorBase {
       auto it = left_.find(kb.first);
       if (it == left_.end()) continue;
       for (const auto& [a, wa] : it->second) {
-        delta.add(fn_(kb.first, a, kb.second), wa * wb);
+        if (auto o = fn_(kb.first, a, kb.second)) delta.add(std::move(*o), wa * wb);
       }
     }
     apply(right_, db);
@@ -353,7 +320,8 @@ class Join final : public OperatorBase {
 /// Group-by-key aggregation. Only groups touched by the incoming delta are
 /// re-evaluated; the operator emits the difference between each group's new
 /// and previously emitted output (retract old / assert new), which is what
-/// lets best-route changes ripple like protocol withdrawals.
+/// lets best-route changes ripple like protocol withdrawals. Groups read
+/// the union of every input stream, so no Concat is needed in front.
 template <class K, class V, class Out>
 class Reduce final : public OperatorBase {
  public:
@@ -363,6 +331,12 @@ class Reduce final : public OperatorBase {
 
   Reduce(Graph& graph, Stream<std::pair<K, V>>& upstream, Fn fn, std::string name = "reduce")
       : OperatorBase(graph, std::move(name)), fn_(std::move(fn)) {
+    add_input(upstream);
+  }
+
+  /// Another input whose tuples join the same groups (weights add, as in
+  /// Concat::add_input).
+  void add_input(Stream<std::pair<K, V>>& upstream) {
     upstream.subscribe([this](const ZSet<std::pair<K, V>>& d) {
       pending_.merge(d);
       graph_.schedule(*this);
@@ -474,34 +448,6 @@ class Distinct final : public OperatorBase {
 // ---------------------------------------------------------------------------
 // Sinks
 // ---------------------------------------------------------------------------
-
-/// Invoke a callback on every delta that reaches this sink.
-template <class T>
-class Inspect final : public OperatorBase {
- public:
-  using Fn = std::function<void(const ZSet<T>&)>;
-
-  Inspect(Graph& graph, Stream<T>& upstream, Fn fn, std::string name = "inspect")
-      : OperatorBase(graph, std::move(name)), fn_(std::move(fn)) {
-    upstream.subscribe([this](const ZSet<T>& d) {
-      pending_.merge(d);
-      graph_.schedule(*this);
-    });
-  }
-
-  void flush() override {
-    ZSet<T> delta = std::move(pending_);
-    pending_.clear();
-    if (!delta.empty()) fn_(delta);
-  }
-
-  std::shared_ptr<const void> save_state() const override { return nullptr; }
-  void load_state(const void*) override { pending_.clear(); }
-
- private:
-  Fn fn_;
-  ZSet<T> pending_;
-};
 
 /// Materialized sink: exposes the relation's current contents plus the
 /// accumulated delta since the caller last drained it.

@@ -33,16 +33,16 @@
 
 namespace rcfg::dpm {
 
-/// Which packet-space backend a pipeline runs on. kAuto lets the library
-/// choose: it starts on the interval-atom backend (FIB rules dominate every
-/// real workload) and falls back to BDDs on the first multi-field predicate.
-/// kInterval is today an alias of that same start-fast-migrate-on-demand
-/// behaviour (a strict no-fallback mode would have to reject ACLs); kBdd
-/// pins the historical all-BDD path.
+/// Which packet-space backend a pipeline runs on. A pipeline requests kAuto
+/// or kBdd. kAuto starts on the interval-atom backend (FIB rules dominate
+/// every real workload) and falls back to BDDs on the first multi-field
+/// predicate; kBdd pins the historical all-BDD path. kInterval is not a
+/// request: it is the kind the interval-atom backend reports, i.e. what
+/// PacketSpace::active_backend() says before a kAuto space migrates.
 enum class BackendKind : std::uint8_t { kBdd, kInterval, kAuto };
 
 const char* to_string(BackendKind kind);
-/// Parse a service-facing backend name ("bdd" | "interval" | "auto").
+/// Parse a service-facing backend request ("bdd" | "auto").
 std::optional<BackendKind> backend_kind_of(std::string_view name);
 
 /// The set algebra over packet-set handles. Implementations must be

@@ -250,7 +250,6 @@ const char* to_string(BackendKind kind) {
 
 std::optional<BackendKind> backend_kind_of(std::string_view name) {
   if (name == "bdd") return BackendKind::kBdd;
-  if (name == "interval") return BackendKind::kInterval;
   if (name == "auto") return BackendKind::kAuto;
   return std::nullopt;
 }

@@ -9,8 +9,8 @@ namespace {
 
 PacketSpaceBackend* pick_active(BackendKind kind, IntervalAtomBackend& interval,
                                 BddSetBackend& bdd) {
-  // kAuto and kInterval both start fast on interval atoms and migrate on
-  // demand (see backend.h); kBdd pins the historical path.
+  // kAuto starts fast on interval atoms and migrates on demand (see
+  // backend.h); kBdd pins the historical path.
   return kind == BackendKind::kBdd ? static_cast<PacketSpaceBackend*>(&bdd)
                                    : static_cast<PacketSpaceBackend*>(&interval);
 }

@@ -46,8 +46,8 @@ inline constexpr unsigned kPacketVars = 98;
 
 /// Owns the packet-set backends, the field encoders, and the migration
 /// machinery. The default is the all-BDD backend so existing call sites
-/// (and anything poking bdd() directly) behave exactly as before; kInterval
-/// and kAuto start on interval atoms and migrate to BDDs on demand.
+/// (and anything poking bdd() directly) behave exactly as before; kAuto
+/// starts on interval atoms and migrates to BDDs on demand.
 class PacketSpace {
  public:
   explicit PacketSpace(BackendKind kind = BackendKind::kBdd);

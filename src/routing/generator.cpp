@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "routing/semantics.h"
@@ -27,11 +28,19 @@ FibCandidate unpack(const Cand& c) {
                       std::get<3>(c)};
 }
 
-/// Joins cannot return "no tuple", so rejected derivations surface as a
-/// sentinel (node == kInvalidNode) and are dropped by the next Filter.
-template <class R>
-bool is_rejected(const R& r) {
-  return r.node == topo::kInvalidNode;
+/// A route keyed by its node: the shape every Join over best routes reads.
+template <class Route>
+using ByNode = std::pair<topo::NodeId, Route>;
+
+template <class Route>
+std::pair<Key, Route> keyed(const Route& r) {
+  return {{r.node, r.prefix}, r};
+}
+
+/// A FIB candidate from a fact or a route, keyed by (node, prefix).
+template <class T>
+std::pair<Key, Cand> keyed_candidate(const T& t) {
+  return {{t.node, t.prefix}, pack(candidate_of(t))};
 }
 
 std::uint32_t metric_of(const OspfRoute& r) { return r.cost; }
@@ -39,77 +48,73 @@ std::uint32_t metric_of(const RipRoute& r) { return r.metric; }
 
 /// OSPF/RIP selection: every minimum-metric candidate (the ECMP set).
 template <class Route>
-void min_metric_select(const Key&, const ZSet<Route>& group, std::vector<Route>& out) {
+void min_metric_select(const Key& key, const ZSet<Route>& group,
+                       std::vector<ByNode<Route>>& out) {
   std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
   for (const auto& [r, w] : group) best = std::min(best, metric_of(r));
   for (const auto& [r, w] : group) {
-    if (metric_of(r) == best) out.push_back(r);
+    if (metric_of(r) == best) out.emplace_back(key.first, r);
   }
 }
 
 /// BGP decision process: single deterministic winner.
-void bgp_select(const Key&, const ZSet<BgpRoute>& group, std::vector<BgpRoute>& out) {
+void bgp_select(const Key& key, const ZSet<BgpRoute>& group,
+                std::vector<ByNode<BgpRoute>>& out) {
   const BgpRoute* best = nullptr;
   for (const auto& [r, w] : group) {
     if (best == nullptr || bgp_better(r, *best)) best = &r;
   }
-  if (best != nullptr) out.push_back(*best);
+  if (best != nullptr) out.emplace_back(key.first, *best);
 }
 
 /// One protocol's round-stratified chain plus its plumbing handles.
 template <class Route>
 struct Chain {
-  Concat<Route>* origins = nullptr;          ///< extra origins can be wired in later
-  Stream<Route>* best = nullptr;             ///< best_R
-  Stream<Route>* conv_diff = nullptr;        ///< best_R - best_{R-1}
+  Concat<Route>* origins = nullptr;            ///< extra origins can be wired in later
+  Stream<ByNode<Route>>* best = nullptr;       ///< best_R, keyed by node
+  Stream<ByNode<Route>>* conv_diff = nullptr;  ///< best_R - best_{R-1}
 };
 
-/// Builds: origins -> best_0 -> [extend ⋈ links -> candidates -> best_r]*R
-/// plus the convergence diff. `extend` maps (route, link-fact) to the
-/// propagated route or a sentinel; `select` is the protocol's decision.
+/// Builds: origins -> best_0 -> [extend ⋈ links -> best_r]*R plus the
+/// convergence diff. Each round is one Join, which extends best_{r-1} over
+/// the links (`extend` returns the propagated route or nullopt) and keys it
+/// by (node, prefix), and one Reduce, which runs the protocol's `select`
+/// over the origins and that Join and emits its winners keyed by node for
+/// the next round's Join.
 template <class Route, class LinkFact, class Select, class Extend>
 Chain<Route> build_chain(Graph& g, const std::string& proto, Stream<LinkFact>& links,
                          unsigned rounds, Select select, Extend extend) {
+  using Best = Reduce<Key, Route, ByNode<Route>>;
   Chain<Route> chain;
   chain.origins = &g.make<Concat<Route>>(proto + ".origins");
-
-  auto key_route = [](const Route& r) { return std::pair<Key, Route>{{r.node, r.prefix}, r}; };
-  auto& origins_keyed = g.make<Map<Route, std::pair<Key, Route>>>(chain.origins->out, key_route,
-                                                                  proto + ".origins_keyed");
+  auto& origins_keyed = g.make<Map<Route, std::pair<Key, Route>>>(
+      chain.origins->out, keyed<Route>, proto + ".origins_keyed");
   auto& links_by_from = g.make<Map<LinkFact, std::pair<topo::NodeId, LinkFact>>>(
       links, [](const LinkFact& f) { return std::pair<topo::NodeId, LinkFact>{f.from, f}; },
       proto + ".links_by_from");
 
-  Reduce<Key, Route, Route>* prev =
-      &g.make<Reduce<Key, Route, Route>>(origins_keyed.out, select, proto + ".best_r0");
-  Reduce<Key, Route, Route>* prev_prev = nullptr;
+  Best* prev = &g.make<Best>(origins_keyed.out, select, proto + ".best_r0");
+  Best* prev_prev = nullptr;
   for (unsigned r = 1; r <= rounds; ++r) {
     const std::string tag = proto + ".r" + std::to_string(r);
-    auto& by_node = g.make<Map<Route, std::pair<topo::NodeId, Route>>>(
-        prev->out,
-        [](const Route& rt) { return std::pair<topo::NodeId, Route>{rt.node, rt}; },
-        tag + ".by_node");
-    auto& ext = g.make<Join<topo::NodeId, Route, LinkFact, Route>>(
-        by_node.out, links_by_from.out,
-        [extend](const topo::NodeId&, const Route& rt, const LinkFact& l) {
-          return extend(rt, l);
+    auto& ext = g.make<Join<topo::NodeId, Route, LinkFact, std::pair<Key, Route>>>(
+        prev->out, links_by_from.out,
+        [extend](const topo::NodeId&, const Route& rt,
+                 const LinkFact& l) -> std::optional<std::pair<Key, Route>> {
+          const std::optional<Route> next = extend(rt, l);
+          if (!next) return std::nullopt;
+          return keyed(*next);
         },
         tag + ".extend");
-    auto& ext_ok = g.make<Filter<Route>>(
-        ext.out, [](const Route& rt) { return !is_rejected(rt); }, tag + ".extend_ok");
-    auto& ext_keyed =
-        g.make<Map<Route, std::pair<Key, Route>>>(ext_ok.out, key_route, tag + ".extend_keyed");
-    auto& cand = g.make<Concat<std::pair<Key, Route>>>(tag + ".cand");
-    cand.add_input(origins_keyed.out);
-    cand.add_input(ext_keyed.out);
-    auto& best = g.make<Reduce<Key, Route, Route>>(cand.out, select, tag + ".best");
+    auto& best = g.make<Best>(origins_keyed.out, select, tag + ".best");
+    best.add_input(ext.out);
     prev_prev = prev;
     prev = &best;
   }
   chain.best = &prev->out;
 
-  auto& neg = g.make<Negate<Route>>(prev_prev->out, proto + ".conv_neg");
-  auto& diff = g.make<Concat<Route>>(proto + ".conv_diff");
+  auto& neg = g.make<Negate<ByNode<Route>>>(prev_prev->out, proto + ".conv_neg");
+  auto& diff = g.make<Concat<ByNode<Route>>>(proto + ".conv_diff");
   diff.add_input(prev->out);
   diff.add_input(neg.out);
   chain.conv_diff = &diff.out;
@@ -121,15 +126,12 @@ Chain<Route> build_chain(Graph& g, const std::string& proto, Stream<LinkFact>& l
 /// protocol's origins. `convert(prefix, egress, fact)` returns the target
 /// route or nullopt.
 template <class FromRoute, class ToRoute, class Convert>
-void wire_redist(Graph& g, const std::string& name, Stream<FromRoute>& from_best,
+void wire_redist(Graph& g, const std::string& name, Stream<ByNode<FromRoute>>& from_best,
                  Stream<std::pair<topo::NodeId, DynRedistFact>>& redist_by_node, Proto from,
                  Proto to, Concat<ToRoute>& to_origins, Convert convert) {
-  auto& native = g.make<Filter<FromRoute>>(
-      from_best, [](const FromRoute& r) { return r.tag == kTagNative; }, name + ".native");
-  auto& native_by_node = g.make<Map<FromRoute, std::pair<topo::NodeId, FromRoute>>>(
-      native.out,
-      [](const FromRoute& r) { return std::pair<topo::NodeId, FromRoute>{r.node, r}; },
-      name + ".by_node");
+  auto& native = g.make<Filter<ByNode<FromRoute>>>(
+      from_best, [](const ByNode<FromRoute>& kv) { return kv.second.tag == kTagNative; },
+      name + ".native");
   auto& direction = g.make<Filter<std::pair<topo::NodeId, DynRedistFact>>>(
       redist_by_node,
       [from, to](const std::pair<topo::NodeId, DynRedistFact>& kv) {
@@ -137,14 +139,12 @@ void wire_redist(Graph& g, const std::string& name, Stream<FromRoute>& from_best
       },
       name + ".direction");
   auto& join = g.make<Join<topo::NodeId, FromRoute, DynRedistFact, ToRoute>>(
-      native_by_node.out, direction.out,
+      native.out, direction.out,
       [convert](const topo::NodeId&, const FromRoute& r, const DynRedistFact& f) {
-        return convert(r.prefix, r.egress, f).value_or(ToRoute{});
+        return convert(r.prefix, r.egress, f);
       },
       name + ".convert");
-  auto& ok = g.make<Filter<ToRoute>>(
-      join.out, [](const ToRoute& r) { return !is_rejected(r); }, name + ".ok");
-  to_origins.add_input(ok.out);
+  to_origins.add_input(join.out);
 }
 
 }  // namespace
@@ -194,20 +194,14 @@ void IncrementalGenerator::build_program() {
 
   // ---- protocol chains -----------------------------------------------------
   Chain<OspfRoute> ospf = build_chain<OspfRoute, OspfLinkFact>(
-      graph_, "ospf", in_ospf_links_->out, rounds, min_metric_select<OspfRoute>,
-      [](const OspfRoute& rt, const OspfLinkFact& l) {
-        return extend_ospf(rt, l).value_or(OspfRoute{});
-      });
+      graph_, "ospf", in_ospf_links_->out, rounds, min_metric_select<OspfRoute>, extend_ospf);
   auto& ospf_fact_origins = graph_.make<Map<OspfOriginFact, OspfRoute>>(
       in_ospf_origins_->out, [](const OspfOriginFact& f) { return make_ospf_origin(f); },
       "ospf.fact_origins");
   ospf.origins->add_input(ospf_fact_origins.out);
 
   Chain<BgpRoute> bgp = build_chain<BgpRoute, BgpSessionFact>(
-      graph_, "bgp", in_bgp_sessions_->out, rounds, bgp_select,
-      [](const BgpRoute& rt, const BgpSessionFact& s) {
-        return extend_bgp(rt, s).value_or(BgpRoute{});
-      });
+      graph_, "bgp", in_bgp_sessions_->out, rounds, bgp_select, extend_bgp);
   auto& bgp_fact_origins = graph_.make<Map<BgpOriginFact, BgpRoute>>(
       in_bgp_origins_->out, [](const BgpOriginFact& f) { return make_bgp_origin(f); },
       "bgp.fact_origins");
@@ -216,21 +210,15 @@ void IncrementalGenerator::build_program() {
   // RIP's horizon bounds convergence at 15 rounds regardless of topology.
   const unsigned rip_rounds = std::min(rounds, config::kRipInfinity - 1);
   Chain<RipRoute> rip = build_chain<RipRoute, RipLinkFact>(
-      graph_, "rip", in_rip_links_->out, rip_rounds, min_metric_select<RipRoute>,
-      [](const RipRoute& rt, const RipLinkFact& l) {
-        return extend_rip(rt, l).value_or(RipRoute{});
-      });
+      graph_, "rip", in_rip_links_->out, rip_rounds, min_metric_select<RipRoute>, extend_rip);
   auto& rip_fact_origins = graph_.make<Map<RipOriginFact, RipRoute>>(
       in_rip_origins_->out, [](const RipOriginFact& f) { return make_rip_origin(f); },
       "rip.fact_origins");
   rip.origins->add_input(rip_fact_origins.out);
 
-  ospf_best_out_ = &graph_.make<Output<OspfRoute>>(*ospf.best, "ospf.best_out");
-  bgp_best_out_ = &graph_.make<Output<BgpRoute>>(*bgp.best, "bgp.best_out");
-  rip_best_out_ = &graph_.make<Output<RipRoute>>(*rip.best, "rip.best_out");
-  ospf_conv_ = &graph_.make<Output<OspfRoute>>(*ospf.conv_diff, "ospf.conv");
-  bgp_conv_ = &graph_.make<Output<BgpRoute>>(*bgp.conv_diff, "bgp.conv");
-  rip_conv_ = &graph_.make<Output<RipRoute>>(*rip.conv_diff, "rip.conv");
+  ospf_conv_ = &graph_.make<Output<ByNode<OspfRoute>>>(*ospf.conv_diff, "ospf.conv");
+  bgp_conv_ = &graph_.make<Output<ByNode<BgpRoute>>>(*bgp.conv_diff, "bgp.conv");
+  rip_conv_ = &graph_.make<Output<ByNode<RipRoute>>>(*rip.conv_diff, "rip.conv");
 
   // ---- BGP route aggregation --------------------------------------------------
   // An aggregate is originated while any strictly more-specific route sits
@@ -245,19 +233,15 @@ void IncrementalGenerator::build_program() {
           return std::pair<topo::NodeId, BgpAggregateFact>{f.node, f};
         },
         "agg.by_node");
-    auto& best_by_node = graph_.make<Map<BgpRoute, std::pair<topo::NodeId, BgpRoute>>>(
-        *bgp.best,
-        [](const BgpRoute& r) { return std::pair<topo::NodeId, BgpRoute>{r.node, r}; },
-        "agg.best_by_node");
     auto& contrib = graph_.make<Join<topo::NodeId, BgpRoute, BgpAggregateFact, BgpRoute>>(
-        best_by_node.out, agg_by_node.out,
-        [](const topo::NodeId&, const BgpRoute& r, const BgpAggregateFact& f) {
-          return contributes_to_aggregate(r, f) ? make_bgp_aggregate(f) : BgpRoute{};
+        *bgp.best, agg_by_node.out,
+        [](const topo::NodeId&, const BgpRoute& r,
+           const BgpAggregateFact& f) -> std::optional<BgpRoute> {
+          if (!contributes_to_aggregate(r, f)) return std::nullopt;
+          return make_bgp_aggregate(f);
         },
         "agg.contrib");
-    auto& ok = graph_.make<Filter<BgpRoute>>(
-        contrib.out, [](const BgpRoute& r) { return !is_rejected(r); }, "agg.ok");
-    bgp.origins->add_input(ok.out);
+    bgp.origins->add_input(contrib.out);
   }
 
   // ---- dynamic redistribution: the full protocol triangle --------------------
@@ -280,50 +264,22 @@ void IncrementalGenerator::build_program() {
               *bgp.origins, make_redist_bgp);
 
   // ---- FIB selection -----------------------------------------------------------
-  auto& candidates = graph_.make<Concat<std::pair<Key, Cand>>>("fib.candidates");
-
   auto& cand_connected = graph_.make<Map<ConnectedFact, std::pair<Key, Cand>>>(
-      in_connected_->out,
-      [](const ConnectedFact& f) {
-        return std::pair<Key, Cand>{{f.node, f.prefix}, pack(candidate_of(f))};
-      },
-      "fib.cand_connected");
-  candidates.add_input(cand_connected.out);
-
+      in_connected_->out, keyed_candidate<ConnectedFact>, "fib.cand_connected");
   auto& cand_static = graph_.make<Map<StaticFact, std::pair<Key, Cand>>>(
-      in_statics_->out,
-      [](const StaticFact& f) {
-        return std::pair<Key, Cand>{{f.node, f.prefix}, pack(candidate_of(f))};
-      },
-      "fib.cand_static");
-  candidates.add_input(cand_static.out);
-
-  auto& cand_ospf = graph_.make<Map<OspfRoute, std::pair<Key, Cand>>>(
-      *ospf.best,
-      [](const OspfRoute& r) {
-        return std::pair<Key, Cand>{{r.node, r.prefix}, pack(candidate_of(r))};
-      },
+      in_statics_->out, keyed_candidate<StaticFact>, "fib.cand_static");
+  auto& cand_ospf = graph_.make<Map<ByNode<OspfRoute>, std::pair<Key, Cand>>>(
+      *ospf.best, [](const ByNode<OspfRoute>& kv) { return keyed_candidate(kv.second); },
       "fib.cand_ospf");
-  candidates.add_input(cand_ospf.out);
-
-  auto& cand_bgp = graph_.make<Map<BgpRoute, std::pair<Key, Cand>>>(
-      *bgp.best,
-      [](const BgpRoute& r) {
-        return std::pair<Key, Cand>{{r.node, r.prefix}, pack(candidate_of(r))};
-      },
+  auto& cand_bgp = graph_.make<Map<ByNode<BgpRoute>, std::pair<Key, Cand>>>(
+      *bgp.best, [](const ByNode<BgpRoute>& kv) { return keyed_candidate(kv.second); },
       "fib.cand_bgp");
-  candidates.add_input(cand_bgp.out);
-
-  auto& cand_rip = graph_.make<Map<RipRoute, std::pair<Key, Cand>>>(
-      *rip.best,
-      [](const RipRoute& r) {
-        return std::pair<Key, Cand>{{r.node, r.prefix}, pack(candidate_of(r))};
-      },
+  auto& cand_rip = graph_.make<Map<ByNode<RipRoute>, std::pair<Key, Cand>>>(
+      *rip.best, [](const ByNode<RipRoute>& kv) { return keyed_candidate(kv.second); },
       "fib.cand_rip");
-  candidates.add_input(cand_rip.out);
 
   auto& fib = graph_.make<Reduce<Key, Cand, FibEntry>>(
-      candidates.out,
+      cand_connected.out,
       [](const Key& key, const ZSet<Cand>& group, std::vector<FibEntry>& out) {
         std::vector<FibCandidate> cands;
         cands.reserve(group.size());
@@ -331,6 +287,10 @@ void IncrementalGenerator::build_program() {
         out.push_back(select_fib(key.first, key.second, cands));
       },
       "fib.select");
+  fib.add_input(cand_static.out);
+  fib.add_input(cand_ospf.out);
+  fib.add_input(cand_bgp.out);
+  fib.add_input(cand_rip.out);
   fib_out_ = &graph_.make<Output<FibEntry>>(fib.out, "fib.out");
 }
 
@@ -421,9 +381,6 @@ DataPlaneDelta IncrementalGenerator::apply(const config::NetworkConfig& cfg) {
   graph_.commit();
 
   // Keep the sinks' delta accumulators from growing unboundedly.
-  (void)ospf_best_out_->take_delta();
-  (void)bgp_best_out_->take_delta();
-  (void)rip_best_out_->take_delta();
   (void)ospf_conv_->take_delta();
   (void)bgp_conv_->take_delta();
   (void)rip_conv_->take_delta();

@@ -17,13 +17,16 @@
 //     best_r = select(origins ∪ extend(best_{r-1}))
 // and the program materializes max_rounds explicit stages of it (the
 // moral equivalent of differential dataflow's per-iteration timestamps).
-// This keeps the dataflow acyclic, so deletions cost work proportional to
-// the truly affected state per round — the naive cyclic formulation instead
-// "path hunts" through exponentially many stale alternative routes when a
-// route is withdrawn. Convergence is checked by comparing the last two
-// stages; a difference means either max_rounds is too small for the
-// network's diameter/metric structure (increase it) or the control plane
-// genuinely oscillates (paper §6) — both reported as NonterminationError.
+// A stage is one Join (best_{r-1} extended over the links; a rejected
+// extension derives nothing) feeding one Reduce (the protocol's selection
+// over the origins and that Join). This keeps the dataflow acyclic, so
+// deletions cost work proportional to the truly affected state per round —
+// the naive cyclic formulation instead "path hunts" through exponentially
+// many stale alternative routes when a route is withdrawn. Convergence is
+// checked by comparing the last two stages; a difference means either
+// max_rounds is too small for the network's diameter/metric structure
+// (increase it) or the control plane genuinely oscillates (paper §6) —
+// both reported as NonterminationError.
 
 #include <cstdint>
 #include <memory>
@@ -70,9 +73,6 @@ class IncrementalGenerator {
   /// Current converged state.
   const dd::ZSet<FibEntry>& fib() const { return fib_out_->current(); }
   const dd::ZSet<FilterRule>& filters() const { return filters_; }
-  const dd::ZSet<OspfRoute>& ospf_best() const { return ospf_best_out_->current(); }
-  const dd::ZSet<BgpRoute>& bgp_best() const { return bgp_best_out_->current(); }
-  const dd::ZSet<RipRoute>& rip_best() const { return rip_best_out_->current(); }
 
   /// Engine work done by the last apply() — the paper's "incremental
   /// computation is small" claim made measurable.
@@ -145,13 +145,11 @@ class IncrementalGenerator {
 
   // Output sinks.
   dd::Output<FibEntry>* fib_out_ = nullptr;
-  dd::Output<OspfRoute>* ospf_best_out_ = nullptr;
-  dd::Output<BgpRoute>* bgp_best_out_ = nullptr;
-  dd::Output<RipRoute>* rip_best_out_ = nullptr;
-  // Convergence sinks: best_R - best_{R-1}; nonempty => not converged.
-  dd::Output<OspfRoute>* ospf_conv_ = nullptr;
-  dd::Output<BgpRoute>* bgp_conv_ = nullptr;
-  dd::Output<RipRoute>* rip_conv_ = nullptr;
+  // Convergence sinks: best_R - best_{R-1} (node-keyed, as the chains emit
+  // best routes); nonempty => not converged.
+  dd::Output<std::pair<topo::NodeId, OspfRoute>>* ospf_conv_ = nullptr;
+  dd::Output<std::pair<topo::NodeId, BgpRoute>>* bgp_conv_ = nullptr;
+  dd::Output<std::pair<topo::NodeId, RipRoute>>* rip_conv_ = nullptr;
 
   // Filter rules are maintained by direct diffing (no simulation needed).
   dd::ZSet<FilterRule> filters_;

@@ -109,7 +109,11 @@ void Engine::submit(Request req, Callback callback) {
   std::unique_lock<std::mutex> lock(mu_);
   auto it = slots_.find(req.session);
   if (req.verb == Verb::kOpen) {
-    if (it != slots_.end()) {
+    // A slot without a session holds an open still in flight, or a failed
+    // one whose worker has answered but not yet erased the slot. Queue
+    // behind it: handle_open_ rejects this open if that one succeeded, and
+    // a name whose open failed is reusable at once.
+    if (it != slots_.end() && it->second.has_session) {
       lock.unlock();
       metrics_.errors_total.inc();
       callback(error_response(req.id, "session already open: '" + req.session + "'"));

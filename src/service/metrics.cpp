@@ -23,7 +23,7 @@ Histogram::Histogram(std::vector<double> bounds)
 
 Histogram Histogram::latency_ms() {
   return Histogram({0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500,
-                    1000, 2500, 5000, 10000});
+                    1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000, 500000});
 }
 
 Histogram Histogram::batch_sizes() { return Histogram({1, 2, 4, 8, 16, 32, 64, 128, 256}); }

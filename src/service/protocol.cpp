@@ -122,7 +122,7 @@ SessionOptions parse_options(const json::Value& doc) {
     const auto kind = dpm::backend_kind_of(backend);
     if (!kind) {
       throw ProtocolError("unknown packet_space: '" + backend +
-                          "' (expected auto | bdd | interval)");
+                          "' (expected auto | bdd)");
     }
     opts.verifier.packet_space = *kind;
   }

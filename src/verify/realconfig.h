@@ -40,10 +40,8 @@ struct RealConfigOptions {
   /// on the interval-atom backend (an order of magnitude faster on the
   /// prefix-only churn that dominates real workloads) and migrates to BDDs
   /// once on the first multi-field predicate; kBdd pins the historical
-  /// all-BDD path; kInterval behaves like kAuto today (documented intent:
-  /// "I expect prefix-only"). EC ids, verdicts, and witnesses are
-  /// bit-identical across all three — the differential fuzz harness holds
-  /// the backends to that.
+  /// all-BDD path. EC ids, verdicts, and witnesses are bit-identical across
+  /// both — the differential fuzz harness holds the backends to that.
   dpm::BackendKind packet_space = dpm::BackendKind::kAuto;
   /// Checker worker-pool width (stage 3 shards the affected-EC set).
   /// 1 (the default) is the historical single-threaded path; any value

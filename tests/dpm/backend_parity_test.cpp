@@ -217,9 +217,9 @@ TEST_P(BackendParity, RandomScriptsStayBitIdentical) {
 // ---- interval-backend specifics -------------------------------------------
 
 TEST(IntervalBackend, TerminalAndTaggedHandles) {
-  PacketSpace s(BackendKind::kInterval);
+  PacketSpace s(BackendKind::kAuto);
   EXPECT_EQ(s.active_backend(), BackendKind::kInterval);
-  EXPECT_EQ(s.requested_backend(), BackendKind::kInterval);
+  EXPECT_EQ(s.requested_backend(), BackendKind::kAuto);
   // /0 is the whole space: the shared true terminal, not an arena entry.
   EXPECT_EQ(s.dst_prefix(pfx("0.0.0.0/0")), kBddTrue);
   const BddRef p = s.dst_prefix(pfx("10.0.0.0/8"));
@@ -229,7 +229,7 @@ TEST(IntervalBackend, TerminalAndTaggedHandles) {
 }
 
 TEST(IntervalBackend, Slash32IsOneAddress) {
-  PacketSpace s(BackendKind::kInterval);
+  PacketSpace s(BackendKind::kAuto);
   const BddRef p = s.dst_prefix(pfx("10.1.2.3/32"));
   EXPECT_EQ(s.interval().address_count(p), 1u);
   // One dst address x 2^66 free non-dst variable assignments.
@@ -241,7 +241,7 @@ TEST(IntervalBackend, Slash32IsOneAddress) {
 }
 
 TEST(IntervalBackend, AdjacentRangesCoalesce) {
-  PacketSpace s(BackendKind::kInterval);
+  PacketSpace s(BackendKind::kAuto);
   const BddRef lo = s.dst_prefix(pfx("10.0.0.0/25"));
   const BddRef hi = s.dst_prefix(pfx("10.0.0.128/25"));
   // The union of two adjacent halves IS the covering /24 — same handle,
@@ -255,7 +255,7 @@ TEST(IntervalBackend, AdjacentRangesCoalesce) {
 }
 
 TEST(IntervalBackend, ImpliesAndDisjointEdgeCases) {
-  PacketSpace s(BackendKind::kInterval);
+  PacketSpace s(BackendKind::kAuto);
   const BddRef p24a = s.dst_prefix(pfx("10.0.0.0/24"));
   const BddRef p24b = s.dst_prefix(pfx("10.0.1.0/24"));  // adjacent, disjoint
   const BddRef p23 = s.dst_prefix(pfx("10.0.0.0/23"));   // their union
@@ -276,7 +276,7 @@ TEST(IntervalBackend, ImpliesAndDisjointEdgeCases) {
 
 TEST(IntervalBackend, RandomSetAlgebraMatchesBddOracle) {
   core::Rng rng{0x1A7e57};
-  PacketSpace iv(BackendKind::kInterval);
+  PacketSpace iv(BackendKind::kAuto);
   PacketSpace bd;  // kBdd
   // Build matched pools of random sets via identical op sequences, then
   // compare every observable: implies/disjoint matrices, sat counts,
@@ -310,7 +310,7 @@ TEST(IntervalBackend, RandomSetAlgebraMatchesBddOracle) {
 }
 
 TEST(IntervalBackend, RefcountsAreHonest) {
-  PacketSpace s(BackendKind::kInterval);
+  PacketSpace s(BackendKind::kAuto);
   const BddRef p = s.dst_prefix(pfx("10.0.0.0/8"));
   EXPECT_EQ(s.interval().ref_count(p), 0u);
   s.add_ref(p);

@@ -284,6 +284,17 @@ TEST(Generator, NoChangeNoDelta) {
   EXPECT_GT(full_flushes, 0u);
 }
 
+TEST(Generator, EachRoundIsOneJoinAndOneReduce) {
+  // One more round adds one Join and one Reduce to each of the three
+  // protocol chains (RIP stays uncapped below its 15-round horizon).
+  const topo::Topology t = topo::make_fat_tree(4);
+  for (const unsigned rounds : {2u, 4u, 8u, 14u}) {
+    const IncrementalGenerator r(t, GeneratorOptions{rounds});
+    const IncrementalGenerator r1(t, GeneratorOptions{rounds + 1});
+    EXPECT_EQ(r1.operator_count(), r.operator_count() + 3 * 2) << "rounds " << rounds;
+  }
+}
+
 TEST(Generator, IncrementalWorkIsSmall) {
   // The headline claim: a local change costs a small fraction of the
   // from-scratch computation. Wall time with a very generous (2x) margin —

@@ -67,7 +67,7 @@ TEST(BackendMigrationSession, AclProposalMigratesOncePreservingEverything) {
   const topo::Topology t = topo::make_fat_tree(4);
   const config::NetworkConfig cfg = config::build_ospf_network(t);
 
-  Session interval("iv", t, cfg, backend_options(dpm::BackendKind::kInterval));
+  Session interval("iv", t, cfg, backend_options(dpm::BackendKind::kAuto));
   Session bdd("bd", t, cfg, backend_options(dpm::BackendKind::kBdd));
   ASSERT_EQ(interval.verifier().packet_space().active_backend(),
             dpm::BackendKind::kInterval);
@@ -177,11 +177,11 @@ TEST(BackendMigrationProtocol, OpenParsesPacketSpace) {
   EXPECT_EQ(open_with("").options.verifier.packet_space, dpm::BackendKind::kAuto);
   EXPECT_EQ(open_with(R"(,"packet_space":"bdd")").options.verifier.packet_space,
             dpm::BackendKind::kBdd);
-  EXPECT_EQ(open_with(R"(,"packet_space":"interval")").options.verifier.packet_space,
-            dpm::BackendKind::kInterval);
   EXPECT_EQ(open_with(R"(,"packet_space":"auto")").options.verifier.packet_space,
             dpm::BackendKind::kAuto);
   EXPECT_THROW(open_with(R"(,"packet_space":"zdd")"), ProtocolError);
+  // "interval" names the backend a kAuto space starts on, not a request.
+  EXPECT_THROW(open_with(R"(,"packet_space":"interval")"), ProtocolError);
 }
 
 }  // namespace

@@ -62,6 +62,19 @@ TEST(Metrics, EmptyHistogramIsWellFormed) {
   EXPECT_DOUBLE_EQ(j.find("mean")->as_double(), 0.0);
 }
 
+TEST(Metrics, LatencyBucketsReachPaperScaleOpens) {
+  // A paper-scale `open` or a deep sweep takes minutes: it must land in a
+  // finite bucket, not in +inf.
+  Histogram h = Histogram::latency_ms();
+  h.record(100000);
+  const json::Value j = h.to_json();
+  EXPECT_EQ(j.get_int("count"), 1);
+  const auto& buckets = j.find("buckets")->as_array();
+  ASSERT_FALSE(buckets.empty());
+  EXPECT_EQ(buckets.back().get_string("le"), "inf");
+  EXPECT_EQ(buckets.back().get_int("count"), 0);
+}
+
 TEST(Metrics, ServiceMetricsJsonShape) {
   ServiceMetrics m;
   m.requests_total.inc(5);
