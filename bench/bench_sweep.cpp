@@ -34,7 +34,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -245,19 +244,7 @@ int main() {
   }
 
   // Merge into BENCH_whatif.json without disturbing bench_whatif's fields.
-  service::json::Value doc;
-  {
-    std::ifstream in("BENCH_whatif.json");
-    if (in) {
-      std::stringstream buf;
-      buf << in.rdbuf();
-      try {
-        doc = service::json::Value::parse(buf.str());
-      } catch (const std::exception&) {
-        doc = service::json::Value();
-      }
-    }
-  }
+  service::json::Value doc = bench::read_json_file("BENCH_whatif.json");
   service::json::Value sweep;
   sweep["fat_tree_k"] = service::json::Value(k);
   sweep["nodes"] = service::json::Value(static_cast<std::uint64_t>(topo.node_count()));

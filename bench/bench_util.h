@@ -13,10 +13,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "service/cli.h"
+#include "service/json.h"
 
 namespace rcfg::bench {
 
@@ -34,6 +38,21 @@ inline unsigned env_unsigned(const char* name, unsigned fallback) {
     std::exit(2);
   }
   return *parsed;
+}
+
+/// The JSON document stored at `path`, or null when the file is missing or
+/// unparseable. Benches that share one BENCH_*.json load it, set their own
+/// fields and write it back, so each keeps the others' sections.
+inline service::json::Value read_json_file(const char* path) {
+  std::ifstream in(path);
+  if (!in) return {};
+  std::stringstream buf;
+  buf << in.rdbuf();
+  try {
+    return service::json::Value::parse(buf.str());
+  } catch (const std::exception&) {
+    return {};
+  }
 }
 
 inline unsigned fat_tree_k() { return env_unsigned("RCFG_FATTREE_K", 8); }

@@ -22,7 +22,8 @@
 //   RCFG_WHATIF_POLICIES  registered reachability policies (default 16)
 //   RCFG_SAMPLES          fork/rebuild timing samples (default 5)
 //
-// Emits BENCH_whatif.json in the working directory.
+// Writes its fields into BENCH_whatif.json in the working directory,
+// keeping any other section there (bench_sweep's "sweep_k3").
 
 #include <cstdio>
 #include <fstream>
@@ -159,7 +160,7 @@ int main() {
   }
   std::printf("\noutcomes identical across both strategies and all thread counts\n");
 
-  service::json::Value doc;
+  service::json::Value doc = bench::read_json_file("BENCH_whatif.json");
   doc["bench"] = service::json::Value("whatif");
   doc["fat_tree_k"] = service::json::Value(k);
   doc["nodes"] = service::json::Value(static_cast<std::uint64_t>(topo.node_count()));
@@ -182,6 +183,6 @@ int main() {
   }
   doc["rows"] = std::move(out_rows);
   std::ofstream("BENCH_whatif.json") << doc.dump() << "\n";
-  std::printf("wrote BENCH_whatif.json\n");
+  std::printf("merged into BENCH_whatif.json\n");
   return 0;
 }

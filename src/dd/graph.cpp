@@ -1,5 +1,7 @@
 #include "dd/graph.h"
 
+#include <atomic>
+
 namespace rcfg::dd {
 
 OperatorBase::OperatorBase(Graph& graph, std::string name)
@@ -39,7 +41,14 @@ void Graph::commit() {
           "); hottest operator: " + ops_[hottest]->name() + " with " +
           std::to_string(recurrence_[hottest].commit_flushes) + " flushes");
     }
+    if (base_id_ == 0) {
+      op.flush();
+      continue;
+    }
+    const std::size_t before = op.journal_size();
     op.flush();
+    journal_entries_ += op.journal_size() - before;  // modular: sizes may shrink
+    if (journal_entries_ > base_entries_) stop_journaling();
   }
 
   ++commits_;
@@ -54,6 +63,8 @@ GraphSnapshot Graph::snapshot() const {
   snap.op_state.reserve(ops_.size());
   for (const auto& op : ops_) snap.op_state.push_back(op->save_state());
   snap.commits = commits_;
+  static std::atomic<std::uint64_t> next_id{1};
+  snap.id = next_id.fetch_add(1, std::memory_order_relaxed);
   return snap;
 }
 
@@ -64,10 +75,26 @@ void Graph::restore(const GraphSnapshot& snap) {
                            std::to_string(snap.op_state.size()) + " operators, graph has " +
                            std::to_string(ops_.size()) + " (different program?)");
   }
-  for (std::size_t i = 0; i < ops_.size(); ++i) ops_[i]->load_state(snap.op_state[i].get());
+  if (snap.id != 0 && snap.id == base_id_) {
+    for (std::size_t i = 0; i < ops_.size(); ++i) ops_[i]->rollback(snap.op_state[i].get());
+  } else {
+    std::size_t entries = 0;
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      entries += ops_[i]->load_state(snap.op_state[i].get());
+    }
+    base_id_ = snap.id;
+    base_entries_ = entries;
+  }
+  journal_entries_ = 0;
   ready_.clear();
   commits_ = snap.commits;
   last_commit_flushes_ = 0;
+}
+
+void Graph::stop_journaling() {
+  for (const auto& op : ops_) op->drop_journal();
+  base_id_ = 0;
+  journal_entries_ = 0;
 }
 
 void Graph::note_emitted_delta(const OperatorBase& op, std::size_t delta_hash) {

@@ -16,7 +16,20 @@
 // NonterminationError; a cheap recurring-delta heuristic upgrades the
 // diagnosis to RecurringStateError when an operator keeps re-emitting the
 // same delta (the signature of BGP-style route oscillation).
+//
+// Snapshot / restore: snapshot() checkpoints every operator's state into
+// shared immutable blobs stamped with a process-unique id. restore() deep-
+// copies the blobs back (O(state)) and makes that snapshot the graph's
+// *base*: from then on every stateful operator also merges each delta it
+// applies to its state into a journal Z-set. Restoring the base again rolls
+// the journals back instead (O(change) — a change and its revert cancel
+// inside the journal). Any other snapshot deep-copies and rebases. Journals
+// are bounded: once they hold more entries than the state did at the base,
+// rollback would cost more than the copy, so the graph drops them, stops
+// journaling, and its next restore deep-copies. A graph that was never
+// restored never journals.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -48,6 +61,11 @@ class RecurringStateError : public NonterminationError {
 /// scheduling priority; operators are created in dependency order for
 /// acyclic edges, so ascending-id scheduling gives each operator at most
 /// one flush per "round" of a recursive computation.
+///
+/// Stateful operators keep an undo journal next to their state: while
+/// journaling() is on, flush() merges every delta it applies to the state
+/// into the journal, so `state - journal` is always the state at the
+/// graph's base snapshot. Stateless operators have no journal.
 class OperatorBase {
  public:
   explicit OperatorBase(Graph& graph, std::string name);
@@ -66,15 +84,32 @@ class OperatorBase {
 
   /// Replace the operator's state with a copy of `state` — a blob produced
   /// by save_state() on an operator occupying the same graph position —
-  /// and discard any pending input deltas. `state` may be nullptr for
-  /// stateless operators.
-  virtual void load_state(const void* state) = 0;
+  /// and discard any pending input deltas and the journal. `state` may be
+  /// nullptr for stateless operators. Returns the number of state entries
+  /// loaded (tuples, arrangement or group entries), which sizes the
+  /// journal bound.
+  virtual std::size_t load_state(const void* state) = 0;
+
+  /// Return to `state`, the blob last passed to load_state(), by
+  /// un-applying the journal; discard pending input deltas and the
+  /// journal. Reads only what the journal does not cover (Output's
+  /// undrained delta) from the blob.
+  virtual void rollback(const void* state) = 0;
+
+  /// Entries currently held in the journal (0 for stateless operators).
+  virtual std::size_t journal_size() const noexcept = 0;
+
+  /// Discard the journal (the graph stopped journaling).
+  virtual void drop_journal() = 0;
 
   std::uint32_t id() const noexcept { return id_; }
   const std::string& name() const noexcept { return name_; }
   std::uint64_t flush_count() const noexcept { return flushes_; }
 
  protected:
+  /// True while the graph records undo journals (see file header).
+  bool journaling() const noexcept;
+
   Graph& graph_;
 
  private:
@@ -106,11 +141,15 @@ class Stream {
 
 /// A checkpoint of every operator's persistent state, taken at quiescence.
 /// The per-operator blobs are immutable and shared, so one snapshot can
-/// seed any number of forked replicas without further copying; each
-/// Graph::restore() deep-copies blob contents back into its operators.
+/// seed any number of forked replicas without further copying. Restoring a
+/// graph's base snapshot rolls its journals back; any other restore
+/// deep-copies blob contents into the operators and makes `id` the base.
 struct GraphSnapshot {
   std::vector<std::shared_ptr<const void>> op_state;
   std::uint64_t commits = 0;
+  /// Process-unique stamp from snapshot(); copies share it. 0 (a snapshot
+  /// not made by snapshot()) never matches a base, so it always deep-copies.
+  std::uint64_t id = 0;
 };
 
 /// Owns the operators and runs commits. See file header for the model.
@@ -162,7 +201,8 @@ class Graph {
   /// identical program (same operator count/order) — in practice either this
   /// graph or one built by the same deterministic builder. Safe to call on a
   /// graph whose last commit diverged: partially flushed state is simply
-  /// overwritten.
+  /// overwritten (or rolled back). O(change) when `snap` is this graph's
+  /// base and the journals are still on, O(state) otherwise (file header).
   void restore(const GraphSnapshot& snap);
 
   /// Used by operators (inside flush) to report the hash of the delta they
@@ -170,6 +210,10 @@ class Graph {
   void note_emitted_delta(const OperatorBase& op, std::size_t delta_hash);
 
  private:
+  friend class OperatorBase;
+
+  void stop_journaling();
+
   std::vector<std::unique_ptr<OperatorBase>> ops_;
   std::set<std::uint32_t> ready_;  // ordered: lowest id flushed first
   std::uint64_t flush_budget_ = 50'000'000;
@@ -190,6 +234,14 @@ class Graph {
   std::vector<RecurrenceState> recurrence_;
   bool in_commit_ = false;
   std::uint64_t commit_flush_counter_ = 0;
+
+  // Undo journaling (file header). base_id_ is the snapshot last deep-
+  // restored from, 0 while not journaling; base_entries_ its state size.
+  std::uint64_t base_id_ = 0;
+  std::size_t base_entries_ = 0;
+  std::size_t journal_entries_ = 0;
 };
+
+inline bool OperatorBase::journaling() const noexcept { return graph_.base_id_ != 0; }
 
 }  // namespace rcfg::dd

@@ -7,9 +7,13 @@
 // arrangements, reduce groups, distinct counts) so that processing a delta
 // costs time proportional to the delta and the state it touches — never to
 // the full relation. That state reuse is precisely the "incremental
-// computation" the paper borrows from differential dataflow.
+// computation" the paper borrows from differential dataflow. While the
+// graph journals (graph.h), each stateful operator also merges the deltas
+// it applies to that state into an undo journal, which rollback() negates.
 
+#include <cstddef>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -31,6 +35,39 @@ void emit_delta(Graph& graph, OperatorBase& op, Stream<T>& out, const ZSet<T>& d
   graph.note_emitted_delta(op, delta.content_hash());
   out.emit(delta);
 }
+
+/// Subtract an undo journal from the state it was recorded against.
+template <class T>
+void unapply(ZSet<T>& state, const ZSet<T>& journal) {
+  for (const auto& [t, w] : journal) state.add(t, -w);
+}
+
+/// Base of the stateless operators: one pending buffer and no persistent
+/// state, so every restore just discards the buffer.
+template <class In>
+class Stateless : public OperatorBase {
+ public:
+  using OperatorBase::OperatorBase;
+
+  std::shared_ptr<const void> save_state() const final { return nullptr; }
+  std::size_t load_state(const void*) final {
+    pending_.clear();
+    return 0;
+  }
+  void rollback(const void*) final { pending_.clear(); }
+  std::size_t journal_size() const noexcept final { return 0; }
+  void drop_journal() final {}
+
+ protected:
+  void subscribe_to(Stream<In>& upstream) {
+    upstream.subscribe([this](const ZSet<In>& d) {
+      pending_.merge(d);
+      graph_.schedule(*this);
+    });
+  }
+
+  ZSet<In> pending_;
+};
 
 }  // namespace detail
 
@@ -66,16 +103,26 @@ class Input final : public OperatorBase {
     ZSet<T> delta = std::move(pending_);
     pending_.clear();
     current_.merge(delta);
+    if (journaling()) journal_.merge(delta);
     detail::emit_delta(graph_, *this, out, delta);
   }
 
   std::shared_ptr<const void> save_state() const override {
     return std::make_shared<const ZSet<T>>(current_);
   }
-  void load_state(const void* state) override {
+  std::size_t load_state(const void* state) override {
     current_ = *static_cast<const ZSet<T>*>(state);
     pending_.clear();
+    journal_.clear();
+    return current_.size();
   }
+  void rollback(const void*) override {
+    detail::unapply(current_, journal_);
+    pending_.clear();
+    journal_.clear();
+  }
+  std::size_t journal_size() const noexcept override { return journal_.size(); }
+  void drop_journal() override { journal_ = {}; }
 
   const ZSet<T>& current() const noexcept { return current_; }
 
@@ -84,6 +131,7 @@ class Input final : public OperatorBase {
  private:
   ZSet<T> current_;
   ZSet<T> pending_;
+  ZSet<T> journal_;
 };
 
 // ---------------------------------------------------------------------------
@@ -92,126 +140,91 @@ class Input final : public OperatorBase {
 
 /// One-to-one transform; weights pass through.
 template <class In, class Out>
-class Map final : public OperatorBase {
+class Map final : public detail::Stateless<In> {
  public:
   using Fn = std::function<Out(const In&)>;
 
   Map(Graph& graph, Stream<In>& upstream, Fn fn, std::string name = "map")
-      : OperatorBase(graph, std::move(name)), fn_(std::move(fn)) {
-    upstream.subscribe([this](const ZSet<In>& d) {
-      pending_.merge(d);
-      graph_.schedule(*this);
-    });
+      : detail::Stateless<In>(graph, std::move(name)), fn_(std::move(fn)) {
+    this->subscribe_to(upstream);
   }
 
   void flush() override {
     ZSet<Out> delta;
-    for (const auto& [t, w] : pending_) delta.add(fn_(t), w);
-    pending_.clear();
-    detail::emit_delta(graph_, *this, out, delta);
+    for (const auto& [t, w] : this->pending_) delta.add(fn_(t), w);
+    this->pending_.clear();
+    detail::emit_delta(this->graph_, *this, out, delta);
   }
-
-  // Stateless: only the pending buffer, which a restore discards.
-  std::shared_ptr<const void> save_state() const override { return nullptr; }
-  void load_state(const void*) override { pending_.clear(); }
 
   Stream<Out> out;
 
  private:
   Fn fn_;
-  ZSet<In> pending_;
 };
 
 template <class T>
-class Filter final : public OperatorBase {
+class Filter final : public detail::Stateless<T> {
  public:
   using Fn = std::function<bool(const T&)>;
 
   Filter(Graph& graph, Stream<T>& upstream, Fn fn, std::string name = "filter")
-      : OperatorBase(graph, std::move(name)), fn_(std::move(fn)) {
-    upstream.subscribe([this](const ZSet<T>& d) {
-      pending_.merge(d);
-      graph_.schedule(*this);
-    });
+      : detail::Stateless<T>(graph, std::move(name)), fn_(std::move(fn)) {
+    this->subscribe_to(upstream);
   }
 
   void flush() override {
     ZSet<T> delta;
-    for (const auto& [t, w] : pending_) {
+    for (const auto& [t, w] : this->pending_) {
       if (fn_(t)) delta.add(t, w);
     }
-    pending_.clear();
-    detail::emit_delta(graph_, *this, out, delta);
+    this->pending_.clear();
+    detail::emit_delta(this->graph_, *this, out, delta);
   }
-
-  std::shared_ptr<const void> save_state() const override { return nullptr; }
-  void load_state(const void*) override { pending_.clear(); }
 
   Stream<T> out;
 
  private:
   Fn fn_;
-  ZSet<T> pending_;
 };
 
 /// Weight negation: the output is the input with every multiplicity
 /// flipped. concat(a, negate(b)) materializes the difference a - b, which
 /// is how convergence checks compare two relations cheaply.
 template <class T>
-class Negate final : public OperatorBase {
+class Negate final : public detail::Stateless<T> {
  public:
   Negate(Graph& graph, Stream<T>& upstream, std::string name = "negate")
-      : OperatorBase(graph, std::move(name)) {
-    upstream.subscribe([this](const ZSet<T>& d) {
-      pending_.merge(d);
-      graph_.schedule(*this);
-    });
+      : detail::Stateless<T>(graph, std::move(name)) {
+    this->subscribe_to(upstream);
   }
 
   void flush() override {
     ZSet<T> delta;
-    for (const auto& [t, w] : pending_) delta.add(t, -w);
-    pending_.clear();
-    detail::emit_delta(graph_, *this, out, delta);
+    for (const auto& [t, w] : this->pending_) delta.add(t, -w);
+    this->pending_.clear();
+    detail::emit_delta(this->graph_, *this, out, delta);
   }
 
-  std::shared_ptr<const void> save_state() const override { return nullptr; }
-  void load_state(const void*) override { pending_.clear(); }
-
   Stream<T> out;
-
- private:
-  ZSet<T> pending_;
 };
 
 /// N-ary union (weights add). `add_input` may be called after downstream
 /// operators were built, which is how feedback cycles are tied.
 template <class T>
-class Concat final : public OperatorBase {
+class Concat final : public detail::Stateless<T> {
  public:
   explicit Concat(Graph& graph, std::string name = "concat")
-      : OperatorBase(graph, std::move(name)) {}
+      : detail::Stateless<T>(graph, std::move(name)) {}
 
-  void add_input(Stream<T>& upstream) {
-    upstream.subscribe([this](const ZSet<T>& d) {
-      pending_.merge(d);
-      graph_.schedule(*this);
-    });
-  }
+  void add_input(Stream<T>& upstream) { this->subscribe_to(upstream); }
 
   void flush() override {
-    ZSet<T> delta = std::move(pending_);
-    pending_.clear();
-    detail::emit_delta(graph_, *this, out, delta);
+    ZSet<T> delta = std::move(this->pending_);
+    this->pending_.clear();
+    detail::emit_delta(this->graph_, *this, out, delta);
   }
 
-  std::shared_ptr<const void> save_state() const override { return nullptr; }
-  void load_state(const void*) override { pending_.clear(); }
-
   Stream<T> out;
-
- private:
-  ZSet<T> pending_;
 };
 
 // ---------------------------------------------------------------------------
@@ -258,6 +271,7 @@ class Join final : public OperatorBase {
       }
     }
     apply(left_, da);
+    if (journaling()) journal_left_.merge(std::move(da));  // steals into an empty journal
     // dB joined against the *new* left arrangement.
     for (const auto& [kb, wb] : db) {
       auto it = left_.find(kb.first);
@@ -267,19 +281,32 @@ class Join final : public OperatorBase {
       }
     }
     apply(right_, db);
+    if (journaling()) journal_right_.merge(std::move(db));
 
     detail::emit_delta(graph_, *this, out, delta);
   }
 
   std::shared_ptr<const void> save_state() const override {
-    return std::make_shared<const Saved>(Saved{left_, right_});
+    return std::make_shared<const Saved>(Saved{left_, right_, entries(left_) + entries(right_)});
   }
-  void load_state(const void* state) override {
+  std::size_t load_state(const void* state) override {
     const Saved& s = *static_cast<const Saved*>(state);
     left_ = s.left;
     right_ = s.right;
-    pending_left_.clear();
-    pending_right_.clear();
+    clear_buffers();
+    return s.entries;
+  }
+  void rollback(const void*) override {
+    apply(left_, journal_left_, -1);
+    apply(right_, journal_right_, -1);
+    clear_buffers();
+  }
+  std::size_t journal_size() const noexcept override {
+    return journal_left_.size() + journal_right_.size();
+  }
+  void drop_journal() override {
+    journal_left_ = {};
+    journal_right_ = {};
   }
 
   Stream<Out> out;
@@ -295,15 +322,31 @@ class Join final : public OperatorBase {
   struct Saved {
     Arrangement<A> left;
     Arrangement<B> right;
+    std::size_t entries;
   };
 
+  /// Add `delta` (negated when `sign` is -1) to the arrangement.
   template <class V>
-  static void apply(Arrangement<V>& arr, const ZSet<std::pair<K, V>>& delta) {
+  static void apply(Arrangement<V>& arr, const ZSet<std::pair<K, V>>& delta, Weight sign = 1) {
     for (const auto& [kv, w] : delta) {
       ZSet<V>& group = arr[kv.first];
-      group.add(kv.second, w);
+      group.add(kv.second, sign * w);
       if (group.empty()) arr.erase(kv.first);
     }
+  }
+
+  template <class V>
+  static std::size_t entries(const Arrangement<V>& arr) {
+    std::size_t n = 0;
+    for (const auto& [k, group] : arr) n += group.size();
+    return n;
+  }
+
+  void clear_buffers() {
+    pending_left_.clear();
+    pending_right_.clear();
+    journal_left_.clear();
+    journal_right_.clear();
   }
 
   Fn fn_;
@@ -311,6 +354,8 @@ class Join final : public OperatorBase {
   Arrangement<B> right_;
   ZSet<std::pair<K, A>> pending_left_;
   ZSet<std::pair<K, B>> pending_right_;
+  ZSet<std::pair<K, A>> journal_left_;
+  ZSet<std::pair<K, B>> journal_right_;
 };
 
 // ---------------------------------------------------------------------------
@@ -345,11 +390,13 @@ class Reduce final : public OperatorBase {
 
   void flush() override {
     // Apply deltas to group contents, remembering which keys were touched.
+    const bool journal = journaling();
     ZSet<K> unique;
     for (const auto& [kv, w] : pending_) {
       groups_.try_emplace(kv.first).first->second.input.add(kv.second, w);
       unique.add(kv.first, 1);
     }
+    if (journal) journal_in_.merge(std::move(pending_));
     pending_.clear();
 
     ZSet<Out> delta;
@@ -363,6 +410,9 @@ class Reduce final : public OperatorBase {
       ZSet<Out> next;
       for (Out& o : scratch) next.add(std::move(o), 1);
       ZSet<Out> diff = ZSet<Out>::difference(next, g.output);
+      if (journal) {
+        for (const auto& [o, w] : diff) journal_out_.add({k, o}, w);
+      }
       delta.merge(diff);
       if (g.input.empty()) {
         groups_.erase(it);
@@ -375,11 +425,32 @@ class Reduce final : public OperatorBase {
   }
 
   std::shared_ptr<const void> save_state() const override {
-    return std::make_shared<const Groups>(groups_);
+    std::size_t entries = 0;
+    for (const auto& [k, g] : groups_) entries += g.input.size() + g.output.size();
+    return std::make_shared<const Saved>(Saved{groups_, entries});
   }
-  void load_state(const void* state) override {
-    groups_ = *static_cast<const Groups*>(state);
-    pending_.clear();
+  std::size_t load_state(const void* state) override {
+    const Saved& s = *static_cast<const Saved*>(state);
+    groups_ = s.groups;
+    clear_buffers();
+    return s.entries;
+  }
+  void rollback(const void*) override {
+    for (const auto& [kv, w] : journal_in_) groups_[kv.first].input.add(kv.second, -w);
+    for (const auto& [ko, w] : journal_out_) groups_[ko.first].output.add(ko.second, -w);
+    // Groups the base did not have are empty again: drop them as flush() does.
+    for (const auto& [kv, w] : journal_in_) {
+      auto it = groups_.find(kv.first);
+      if (it != groups_.end() && it->second.input.empty()) groups_.erase(it);
+    }
+    clear_buffers();
+  }
+  std::size_t journal_size() const noexcept override {
+    return journal_in_.size() + journal_out_.size();
+  }
+  void drop_journal() override {
+    journal_in_ = {};
+    journal_out_ = {};
   }
 
   Stream<Out> out;
@@ -392,10 +463,22 @@ class Reduce final : public OperatorBase {
     ZSet<Out> output;
   };
   using Groups = std::unordered_map<K, Group, core::TupleHash>;
+  struct Saved {
+    Groups groups;
+    std::size_t entries;
+  };
+
+  void clear_buffers() {
+    pending_.clear();
+    journal_in_.clear();
+    journal_out_.clear();
+  }
 
   Fn fn_;
   Groups groups_;
   ZSet<std::pair<K, V>> pending_;
+  ZSet<std::pair<K, V>> journal_in_;
+  ZSet<std::pair<K, Out>> journal_out_;  ///< per-group output diffs
 };
 
 // ---------------------------------------------------------------------------
@@ -422,6 +505,7 @@ class Distinct final : public OperatorBase {
       const Weight before = counts_.weight(t);
       const Weight after = before + w;
       counts_.add(t, w);
+      if (journaling()) journal_.add(t, w);
       const int sign_before = before > 0 ? 1 : 0;
       const int sign_after = after > 0 ? 1 : 0;
       if (sign_after != sign_before) delta.add(t, sign_after - sign_before);
@@ -433,16 +517,26 @@ class Distinct final : public OperatorBase {
   std::shared_ptr<const void> save_state() const override {
     return std::make_shared<const ZSet<T>>(counts_);
   }
-  void load_state(const void* state) override {
+  std::size_t load_state(const void* state) override {
     counts_ = *static_cast<const ZSet<T>*>(state);
     pending_.clear();
+    journal_.clear();
+    return counts_.size();
   }
+  void rollback(const void*) override {
+    detail::unapply(counts_, journal_);
+    pending_.clear();
+    journal_.clear();
+  }
+  std::size_t journal_size() const noexcept override { return journal_.size(); }
+  void drop_journal() override { journal_ = {}; }
 
   Stream<T> out;
 
  private:
   ZSet<T> counts_;
   ZSet<T> pending_;
+  ZSet<T> journal_;
 };
 
 // ---------------------------------------------------------------------------
@@ -464,6 +558,7 @@ class Output final : public OperatorBase {
 
   void flush() override {
     current_.merge(pending_);
+    if (journaling()) journal_.merge(pending_);
     accumulated_.merge(std::move(pending_));
     pending_.clear();
   }
@@ -471,12 +566,25 @@ class Output final : public OperatorBase {
   std::shared_ptr<const void> save_state() const override {
     return std::make_shared<const Saved>(Saved{current_, accumulated_});
   }
-  void load_state(const void* state) override {
+  std::size_t load_state(const void* state) override {
     const Saved& s = *static_cast<const Saved*>(state);
     current_ = s.current;
     accumulated_ = s.accumulated;
     pending_.clear();
+    journal_.clear();
+    return current_.size() + accumulated_.size();
   }
+  /// take_delta() drains accumulated_ wholesale, so it is not journaled:
+  /// the rollback reloads it from the blob (empty once the caller drained
+  /// it before the snapshot).
+  void rollback(const void* state) override {
+    detail::unapply(current_, journal_);
+    accumulated_ = static_cast<const Saved*>(state)->accumulated;
+    pending_.clear();
+    journal_.clear();
+  }
+  std::size_t journal_size() const noexcept override { return journal_.size(); }
+  void drop_journal() override { journal_ = {}; }
 
   const ZSet<T>& current() const noexcept { return current_; }
 
@@ -496,6 +604,7 @@ class Output final : public OperatorBase {
   ZSet<T> current_;
   ZSet<T> accumulated_;
   ZSet<T> pending_;
+  ZSet<T> journal_;
 };
 
 }  // namespace rcfg::dd

@@ -136,15 +136,22 @@ class RealConfig {
   /// RealConfig over the same topology and equivalent options). Clears the
   /// poisoned flag: restoring is the sanctioned recovery path after a
   /// divergent apply(). Component wiring (EC-split subscriptions, the
-  /// checker's worker pool) is untouched; only state is replaced.
+  /// checker's worker pool) is untouched; only state is replaced. Restoring
+  /// the snapshot this instance was last restored (or forked) from again
+  /// rolls the generator's dataflow state back in O(change) while its undo
+  /// journals stay bounded (dd/graph.h) — the restore → apply → restore
+  /// loop of a sweep replica; the EC partition, model, checker and BDD
+  /// manager are still deep-copied.
   void restore(const Snapshot& snap);
 
   /// Build an independent replica seeded from `snap`: a new RealConfig on
   /// the same topology whose next apply() re-converges incrementally from
   /// the snapshot instead of from scratch. The replica owns a private copy
   /// of every mutable structure (BDD manager included), so replicas are
-  /// safe to drive from different threads concurrently. Replicas are built
-  /// single-threaded (threads = 1) to keep nested worker pools out of
+  /// safe to drive from different threads concurrently (restores only read
+  /// the shared snapshot). `snap` becomes the replica's rollback base, so
+  /// restoring it again is O(change) in the dataflow layer. Replicas are
+  /// built single-threaded (threads = 1) to keep nested worker pools out of
   /// sharded sweeps; generator tuning (flush budget, recurrence threshold)
   /// is inherited from this instance.
   std::unique_ptr<RealConfig> fork(const Snapshot& snap) const;

@@ -1,6 +1,6 @@
 // Randomized differential fuzzing of the whole pipeline: random connected
 // topologies, random protocol/ACL/static-route mixes, random change
-// sequences — and four independent oracles per step:
+// sequences — and independent oracles per step:
 //
 //   (1) the incremental generator's FIB equals the baseline simulator's
 //       (different algorithms, so agreement pins both down);
@@ -45,6 +45,12 @@
 //       interval->BDD migration — and EC partitions, policy verdicts, and
 //       explain witnesses stay bit-identical across backends and across
 //       thread counts {1, 2, 4}.
+//   (9) replica rollback: a replica restored onto one snapshot again and
+//       again (its dataflow state rolled back through the dd undo
+//       journals) equals a fresh fork of that snapshot after the same
+//       apply — FIB, EC partition, check report and every verdict — along
+//       random change sequences and around the bad-gadget BGP
+//       configuration, whose apply diverges mid-commit.
 //
 // Change selection follows the uniquely-convergent rule from
 // tests/routing/differential_test.cpp: link failures/restores, OSPF costs,
@@ -81,6 +87,8 @@
 #include "verify/failures.h"
 #include "verify/realconfig.h"
 
+#include "../service/service_test_util.h"
+
 namespace rcfg {
 namespace {
 
@@ -112,6 +120,44 @@ struct Semantics {
   }
   bool operator==(const Semantics&) const = default;
 };
+
+/// One random change from the uniquely-convergent set (file header): fail
+/// or restore a link, toggle a null route, re-cost an OSPF link, or flip
+/// local-pref at the one fixed LP node (node 0). `failed` holds the links
+/// the sequence has failed so far.
+void random_change(core::Rng& rng, const topo::Topology& t, bool bgp,
+                   config::NetworkConfig& cfg, std::vector<topo::LinkId>& failed) {
+  const topo::NodeId lp_node = 0;
+  const double dice = rng.next_double();
+  if (dice < 0.35) {
+    const auto l = static_cast<topo::LinkId>(rng.next_below(t.link_count()));
+    config::fail_link(cfg, t, l);
+    failed.push_back(l);
+  } else if (dice < 0.55 && !failed.empty()) {
+    const auto idx = rng.next_below(failed.size());
+    config::restore_link(cfg, t, failed[idx]);
+    failed.erase(failed.begin() + static_cast<std::ptrdiff_t>(idx));
+  } else if (dice < 0.7) {
+    const auto victim = static_cast<topo::NodeId>(rng.next_below(t.node_count()));
+    const auto holder = static_cast<topo::NodeId>(rng.next_below(t.node_count()));
+    auto& routes = cfg.devices.at(t.node(holder).name).static_routes;
+    if (routes.empty()) {
+      routes.push_back({config::host_prefix(victim), config::kNullInterface, 1});
+    } else {
+      routes.pop_back();
+    }
+  } else if (!bgp) {
+    const auto l = static_cast<topo::LinkId>(rng.next_below(t.link_count()));
+    const topo::Link& lk = t.link(l);
+    config::set_ospf_cost(cfg, t.node(lk.a).name, t.iface(lk.a_iface).name,
+                          static_cast<std::uint32_t>(rng.next_in(1, 100)));
+  } else {
+    const auto adj = t.adjacencies(lp_node);
+    const auto& ifc = t.iface(adj[rng.next_below(adj.size())].iface).name;
+    config::set_local_pref(cfg, t.node(lp_node).name, ifc,
+                           rng.next_bool(0.5) ? 150u : config::kDefaultLocalPref);
+  }
+}
 
 TEST(FuzzDifferential, RandomNetworksAgreeAcrossOraclesAndThreadCounts) {
   constexpr unsigned kLaneThreads[] = {1, 2, 4};
@@ -188,40 +234,9 @@ TEST(FuzzDifferential, RandomNetworksAgreeAcrossOraclesAndThreadCounts) {
 
     // --- initial apply + change sequence ----------------------------------
     std::vector<topo::LinkId> failed;
-    const topo::NodeId lp_node = 0;  // uniquely-convergent: one fixed LP node
     for (int step = -1; step < 4; ++step) {
       SCOPED_TRACE("step " + std::to_string(step));
-      if (step >= 0) {
-        const double dice = rng.next_double();
-        if (dice < 0.35) {
-          const auto l = static_cast<topo::LinkId>(rng.next_below(t.link_count()));
-          config::fail_link(cfg, t, l);
-          failed.push_back(l);
-        } else if (dice < 0.55 && !failed.empty()) {
-          const auto idx = rng.next_below(failed.size());
-          config::restore_link(cfg, t, failed[idx]);
-          failed.erase(failed.begin() + static_cast<std::ptrdiff_t>(idx));
-        } else if (dice < 0.7) {
-          const auto victim = static_cast<topo::NodeId>(rng.next_below(t.node_count()));
-          const auto holder = static_cast<topo::NodeId>(rng.next_below(t.node_count()));
-          auto& routes = cfg.devices.at(t.node(holder).name).static_routes;
-          if (routes.empty()) {
-            routes.push_back({config::host_prefix(victim), config::kNullInterface, 1});
-          } else {
-            routes.pop_back();
-          }
-        } else if (!bgp) {
-          const auto l = static_cast<topo::LinkId>(rng.next_below(t.link_count()));
-          const topo::Link& lk = t.link(l);
-          config::set_ospf_cost(cfg, t.node(lk.a).name, t.iface(lk.a_iface).name,
-                                static_cast<std::uint32_t>(rng.next_in(1, 100)));
-        } else {
-          const auto adj = t.adjacencies(lp_node);
-          const auto& ifc = t.iface(adj[rng.next_below(adj.size())].iface).name;
-          config::set_local_pref(cfg, t.node(lp_node).name, ifc,
-                                 rng.next_bool(0.5) ? 150u : config::kDefaultLocalPref);
-        }
-      }
+      if (step >= 0) random_change(rng, t, bgp, cfg, failed);
 
       std::vector<Semantics> reports;
       for (auto& lane : lanes) reports.push_back(Semantics::of(lane->apply(cfg).check));
@@ -849,35 +864,7 @@ TEST(FuzzDifferential, BackendsAgreeAcrossMigrationAndThreadCounts) {
         config::attach_random_acl(cfg, t, t.node(node).name, ifc, rng.next_bool(0.5),
                                   static_cast<unsigned>(rng.next_in(1, 4)), rng);
       } else if (step >= 0) {
-        const double dice = rng.next_double();
-        if (dice < 0.35) {
-          const auto l = static_cast<topo::LinkId>(rng.next_below(t.link_count()));
-          config::fail_link(cfg, t, l);
-          failed.push_back(l);
-        } else if (dice < 0.55 && !failed.empty()) {
-          const auto idx = rng.next_below(failed.size());
-          config::restore_link(cfg, t, failed[idx]);
-          failed.erase(failed.begin() + static_cast<std::ptrdiff_t>(idx));
-        } else if (dice < 0.7) {
-          const auto victim = static_cast<topo::NodeId>(rng.next_below(t.node_count()));
-          const auto holder = static_cast<topo::NodeId>(rng.next_below(t.node_count()));
-          auto& routes = cfg.devices.at(t.node(holder).name).static_routes;
-          if (routes.empty()) {
-            routes.push_back({config::host_prefix(victim), config::kNullInterface, 1});
-          } else {
-            routes.pop_back();
-          }
-        } else if (!bgp) {
-          const auto l = static_cast<topo::LinkId>(rng.next_below(t.link_count()));
-          const topo::Link& lk = t.link(l);
-          config::set_ospf_cost(cfg, t.node(lk.a).name, t.iface(lk.a_iface).name,
-                                static_cast<std::uint32_t>(rng.next_in(1, 100)));
-        } else {
-          const auto adj = t.adjacencies(0);
-          const auto& ifc = t.iface(adj[rng.next_below(adj.size())].iface).name;
-          config::set_local_pref(cfg, t.node(0).name, ifc,
-                                 rng.next_bool(0.5) ? 150u : config::kDefaultLocalPref);
-        }
+        random_change(rng, t, bgp, cfg, failed);
       }
 
       std::vector<Semantics> reports;
@@ -946,6 +933,117 @@ TEST(FuzzDifferential, BackendsAgreeAcrossMigrationAndThreadCounts) {
 
       if (::testing::Test::HasFailure()) return;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Oracle 9: a rolled-back replica equals a fresh fork
+// ---------------------------------------------------------------------------
+
+/// Oracle 9's comparison: everything a verifier reports after an apply.
+void expect_same_verifier(verify::RealConfig& replica, verify::RealConfig& fresh,
+                          const std::vector<verify::PolicyId>& policies) {
+  EXPECT_TRUE(replica.generator().fib() == fresh.generator().fib()) << "FIB differs";
+  ASSERT_EQ(replica.ecs().ec_count(), fresh.ecs().ec_count());
+  for (dpm::EcId ec = 0; ec < replica.ecs().ec_count(); ++ec) {
+    EXPECT_EQ(replica.ecs().ec_bdd(ec), fresh.ecs().ec_bdd(ec)) << "EC " << ec;
+  }
+  EXPECT_EQ(replica.checker().reachable_pairs(), fresh.checker().reachable_pairs());
+  EXPECT_EQ(replica.checker().loop_count(), fresh.checker().loop_count());
+  EXPECT_EQ(replica.checker().blackhole_count(), fresh.checker().blackhole_count());
+  for (const verify::PolicyId id : policies) {
+    EXPECT_EQ(replica.checker().policy_satisfied(id), fresh.checker().policy_satisfied(id))
+        << "policy " << id;
+  }
+}
+
+TEST(FuzzDifferential, RolledBackReplicaMatchesFreshFork) {
+  const unsigned iters = fuzz_iters();
+  for (unsigned iter = 0; iter < iters; ++iter) {
+    const std::uint64_t seed = 0xF0990000ULL + iter;
+    SCOPED_TRACE("fuzz seed " + std::to_string(seed) + " (iteration " +
+                 std::to_string(iter) + ")");
+    core::Rng rng(seed);
+
+    const unsigned n = static_cast<unsigned>(rng.next_in(5, 12));
+    const unsigned links = n - 1 + static_cast<unsigned>(rng.next_below(n));
+    const topo::Topology t = topo::make_random_connected(n, links, rng);
+    const bool bgp = rng.next_bool(0.4);
+    config::NetworkConfig cfg =
+        bgp ? config::build_bgp_network(t) : config::build_ospf_network(t);
+    if (rng.next_bool(0.5)) {
+      const auto node = static_cast<topo::NodeId>(rng.next_below(t.node_count()));
+      const auto adj = t.adjacencies(node);
+      const auto& ifc = t.iface(adj[rng.next_below(adj.size())].iface).name;
+      config::attach_random_acl(cfg, t, t.node(node).name, ifc, rng.next_bool(0.5),
+                                static_cast<unsigned>(rng.next_in(1, 4)), rng);
+    }
+
+    verify::RealConfig rc(t);
+    std::vector<verify::PolicyId> policies;
+    for (int p = 0; p < 4; ++p) {
+      const auto src = static_cast<topo::NodeId>(rng.next_below(t.node_count()));
+      auto dst = static_cast<topo::NodeId>(rng.next_below(t.node_count()));
+      if (dst == src) dst = (dst + 1) % static_cast<topo::NodeId>(t.node_count());
+      policies.push_back(rng.next_bool(0.25)
+                             ? rc.require_isolated(t.node(src).name, t.node(dst).name,
+                                                   config::host_prefix(dst))
+                             : rc.require_reachable(t.node(src).name, t.node(dst).name,
+                                                    config::host_prefix(dst)));
+    }
+    rc.apply(cfg);
+    const auto snap = rc.snapshot();
+    const std::unique_ptr<verify::RealConfig> replica = rc.fork(*snap);
+
+    // Each step moves the scenario one random change further from the
+    // snapshot; the replica returns to the snapshot before every apply.
+    config::NetworkConfig scenario = cfg;
+    std::vector<topo::LinkId> failed;
+    for (int step = 0; step < 6; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      random_change(rng, t, bgp, scenario, failed);
+      replica->restore(*snap);
+      const Semantics rolled = Semantics::of(replica->apply(scenario).check);
+      const std::unique_ptr<verify::RealConfig> fresh = rc.fork(*snap);
+      const Semantics forked = Semantics::of(fresh->apply(scenario).check);
+      EXPECT_TRUE(rolled == forked) << "check report differs from a fresh fork's";
+      expect_same_verifier(*replica, *fresh, policies);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(FuzzDifferential, RolledBackReplicaRecoversFromDivergence) {
+  const topo::Topology t = topo::make_full_mesh(4);
+  const config::NetworkConfig healthy = config::build_bgp_network(t);
+  const config::NetworkConfig gadget = service::testutil::bad_gadget(t);
+  verify::RealConfig rc(t);
+  rc.generator().set_flush_budget(2'000'000);
+  rc.generator().set_recurrence_threshold(500);
+  std::vector<verify::PolicyId> policies;
+  for (unsigned i = 1; i <= 3; ++i) {
+    policies.push_back(rc.require_reachable("m" + std::to_string(i), "m0",
+                                            config::host_prefix(t.find_node("m0"))));
+  }
+  rc.apply(healthy);
+  const auto snap = rc.snapshot();
+  const std::unique_ptr<verify::RealConfig> replica = rc.fork(*snap);
+
+  // Alternate diverging applies with converging ones; every converging
+  // apply starts from a rollback out of a commit that threw.
+  for (topo::LinkId l = 0; l < t.link_count(); ++l) {
+    SCOPED_TRACE("link " + std::to_string(l));
+    replica->restore(*snap);
+    EXPECT_THROW(replica->apply(gadget), dd::NonterminationError);
+    replica->restore(*snap);
+    config::NetworkConfig scenario = healthy;
+    config::fail_link(scenario, t, l);
+    const Semantics rolled = Semantics::of(replica->apply(scenario).check);
+    const std::unique_ptr<verify::RealConfig> fresh = rc.fork(*snap);
+    const Semantics forked = Semantics::of(fresh->apply(scenario).check);
+    EXPECT_TRUE(rolled == forked) << "check report differs from a fresh fork's";
+    expect_same_verifier(*replica, *fresh, policies);
+    if (::testing::Test::HasFailure()) return;
   }
 }
 

@@ -117,7 +117,7 @@ TEST(Protocol, ParsesRelateRequests) {
       R"("specs":[{"kind":"only_dst_in","prefixes":["10.0.2.0/24","10.0.3.0/24"],)"
       R"("name":"quarantine"},{"kind":"none"}],"witnesses":false,"detail":true})");
   EXPECT_EQ(r.verb, Verb::kRelate);
-  EXPECT_EQ(verb_name(r.verb), "relate");
+  EXPECT_STREQ(verb_name(r.verb), "relate");
   EXPECT_EQ(r.config_text, "hostname r0");
   ASSERT_EQ(r.relate.specs.size(), 2u);
   EXPECT_EQ(r.relate.specs[0].kind, relate::RelationalSpec::Kind::kOnlyDstIn);
@@ -141,7 +141,7 @@ TEST(Protocol, ParsesOrderRequests) {
       R"({"name":"edge","config":"hostname e0"},{"name":"core","config":"hostname c0"}],)"
       R"("max_blocking":3,"detail":true})");
   EXPECT_EQ(r.verb, Verb::kOrder);
-  EXPECT_EQ(verb_name(r.verb), "order");
+  EXPECT_STREQ(verb_name(r.verb), "order");
   ASSERT_EQ(r.order.steps.size(), 2u);
   EXPECT_EQ(r.order.steps[0].name, "edge");
   EXPECT_EQ(r.order.steps[1].config_text, "hostname c0");
