@@ -189,8 +189,6 @@ class Graph {
   std::size_t operator_count() const noexcept { return ops_.size(); }
   std::uint64_t last_commit_flushes() const noexcept { return last_commit_flushes_; }
   std::uint64_t commit_count() const noexcept { return commits_; }
-  std::uint64_t flush_budget() const noexcept { return flush_budget_; }
-  std::uint64_t recurrence_threshold() const noexcept { return recurrence_threshold_; }
 
   /// Checkpoint every operator's state. Requires quiescence (no operator
   /// scheduled); throws std::logic_error mid-commit or with pending work.

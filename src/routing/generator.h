@@ -80,12 +80,6 @@ class IncrementalGenerator {
   std::size_t operator_count() const { return graph_.operator_count(); }
   unsigned max_rounds() const { return options_.max_rounds; }
 
-  /// Tuning passthroughs (see dd::Graph).
-  void set_flush_budget(std::uint64_t budget) { graph_.set_flush_budget(budget); }
-  void set_recurrence_threshold(std::uint64_t t) { graph_.set_recurrence_threshold(t); }
-  std::uint64_t flush_budget() const { return graph_.flush_budget(); }
-  std::uint64_t recurrence_threshold() const { return graph_.recurrence_threshold(); }
-
   /// Checkpoint of the generator's converged state: every dataflow
   /// operator's state plus the directly diffed filter relation (and, when
   /// provenance is on, the previous fact snapshot). Restorable into this

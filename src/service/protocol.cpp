@@ -94,9 +94,6 @@ SessionOptions parse_options(const json::Value& doc) {
   if (rounds != 0) opts.verifier.generator.max_rounds = rounds;
   const unsigned threads = get_unsigned(doc, "threads");
   if (threads != 0) opts.verifier.threads = threads;
-  opts.flush_budget = static_cast<std::uint64_t>(doc.get_int("flush_budget", 0));
-  opts.recurrence_threshold =
-      static_cast<std::uint64_t>(doc.get_int("recurrence_threshold", 0));
   opts.trace = doc.get_bool("trace", false);
   opts.replicas = get_unsigned(doc, "replicas");
   if (opts.replicas > kMaxReplicas) {

@@ -10,10 +10,6 @@
 //                 "update_order":"insert_first"|"delete_first"|"interleaved"
 //                                           batch rule-update order (Table 3;
 //                                           default insert_first)
-//                 "flush_budget":N          generator divergence detector:
-//                                           operator-flush budget (0 = default)
-//                 "recurrence_threshold":N  generator divergence detector:
-//                                           recurring-state threshold
 //                 "threads":N               checker worker-pool width
 //                                           (default 1); reports are identical
 //                                           for any value — only latency moves

@@ -13,22 +13,13 @@ Session::Session(std::string name, topo::Topology topology, config::NetworkConfi
       topo_(std::make_shared<const topo::Topology>(std::move(topology))),
       options_(options) {
   options_.verifier.provenance = options_.trace;
-  rc_ = make_verifier_();
+  rc_ = std::make_unique<verify::RealConfig>(*topo_, options_.verifier);
   committed_ = std::move(initial);
   baseline_report_ = rc_->apply(committed_);
   if (options_.trace) {
     log_ = std::make_unique<::rcfg::explain::ProvenanceLog>(options_.trace_capacity);
     record_("open", committed_, committed_, baseline_report_);
   }
-}
-
-std::unique_ptr<verify::RealConfig> Session::make_verifier_() const {
-  auto rc = std::make_unique<verify::RealConfig>(*topo_, options_.verifier);
-  if (options_.flush_budget != 0) rc->generator().set_flush_budget(options_.flush_budget);
-  if (options_.recurrence_threshold != 0) {
-    rc->generator().set_recurrence_threshold(options_.recurrence_threshold);
-  }
-  return rc;
 }
 
 verify::PolicyId Session::register_on_verifier_(const PolicySpec& spec) {
@@ -44,7 +35,7 @@ verify::PolicyId Session::register_on_verifier_(const PolicySpec& spec) {
 }
 
 void Session::rebuild_() {
-  rc_ = make_verifier_();
+  rc_ = std::make_unique<verify::RealConfig>(*topo_, options_.verifier);
   ++generation_;
   ++rebuilds_;
   // The committed baseline converged when it was committed; deterministic

@@ -51,9 +51,6 @@ struct PolicySpec {
 
 struct SessionOptions {
   verify::RealConfigOptions verifier;
-  /// dd::Graph divergence-detector passthroughs; 0 keeps the engine default.
-  std::uint64_t flush_budget = 0;
-  std::uint64_t recurrence_threshold = 0;
   /// Record per-batch provenance (config diff → rule delta → EC moves →
   /// verdict flips) for the `explain` verb. Pay-as-you-go: off (the
   /// default) means zero recording overhead on every batch.
@@ -192,7 +189,6 @@ class Session {
   const verify::RealConfig& verifier() const { return *rc_; }
 
  private:
-  std::unique_ptr<verify::RealConfig> make_verifier_() const;
   verify::PolicyId register_on_verifier_(const PolicySpec& spec);
   /// Discard the (poisoned) verifier, rebuild from `committed_`, re-register
   /// all policies.

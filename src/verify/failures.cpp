@@ -114,82 +114,30 @@ void finalize(FailureSweepResult& result, const MergeState& ms) {
             });
 }
 
+/// Undo a scenario's fail_link edits on `cfg` by copying the touched
+/// interfaces' shutdown flags back from `healthy`. config::restore_link
+/// would instead bring up a link that `healthy` itself has down, leaking
+/// that link into every later scenario on the lane.
+void reset_links(config::NetworkConfig& cfg, const config::NetworkConfig& healthy,
+                 const topo::Topology& topo, const std::vector<topo::LinkId>& links) {
+  for (const topo::LinkId l : links) {
+    const topo::Link& lk = topo.link(l);
+    for (const auto& [node, iface] :
+         {std::pair{lk.a, lk.a_iface}, std::pair{lk.b, lk.b_iface}}) {
+      const std::string& device = topo.node(node).name;
+      const std::string& name = topo.iface(iface).name;
+      cfg.devices.at(device).find_interface(name)->shutdown =
+          healthy.devices.at(device).find_interface(name)->shutdown;
+    }
+  }
+}
+
 void normalize(FailureScenario& s) {
   std::sort(s.links.begin(), s.links.end());
   s.links.erase(std::unique(s.links.begin(), s.links.end()), s.links.end());
 }
 
 }  // namespace
-
-FailureSweepResult sweep_single_link_failures(RealConfig& rc,
-                                              const config::NetworkConfig& healthy,
-                                              const std::vector<topo::LinkId>& links) {
-  const topo::Topology& topo = rc.topology();
-
-  std::vector<topo::LinkId> scenario_links = links;
-  if (scenario_links.empty()) {
-    for (topo::LinkId l = 0; l < topo.link_count(); ++l) scenario_links.push_back(l);
-  }
-
-  const Timer sweep_timer;
-  FailureSweepResult result;
-  const HealthyBaseline base = HealthyBaseline::of(rc);
-  result.healthy_pairs = base.pairs;
-
-  // Divergence insurance: a scenario (or the reconvergence back from one)
-  // that oscillates is rolled back to this checkpoint instead of poisoning
-  // the verifier and losing the partial sweep.
-  const Timer snap_timer;
-  const auto snap = rc.snapshot();
-  result.snapshot_ms = snap_timer.ms();
-
-  MergeState ms;
-  config::NetworkConfig scenario = healthy;
-  for (const topo::LinkId link : scenario_links) {
-    const Timer scenario_timer;
-    ScenarioOutcome out;
-    out.scenario.links = {link};
-    std::vector<Pair> lost;
-
-    config::fail_link(scenario, topo, link);
-    try {
-      rc.apply(scenario);
-      read_outcome(rc, base, out, lost);
-    } catch (const dd::NonterminationError&) {
-      out.diverged = true;
-    }
-    config::restore_link(scenario, topo, link);
-
-    if (out.diverged) {
-      // The verifier is poisoned mid-scenario; snap-back to healthy.
-      const Timer restore_timer;
-      rc.restore(*snap);
-      out.restore_ms = restore_timer.ms();
-    } else {
-      // Reconverge in place back to the healthy state. Oscillation on the
-      // way back (possible: re-adding the link re-creates the unstable
-      // part) gets the same snapshot treatment.
-      try {
-        rc.apply(scenario);
-      } catch (const dd::NonterminationError&) {
-        const Timer restore_timer;
-        rc.restore(*snap);
-        out.restore_ms = restore_timer.ms();
-      }
-    }
-
-    out.total_ms = scenario_timer.ms();
-    merge_outcome(result, ms, out, lost);
-    result.outcomes.push_back(std::move(out));
-  }
-
-  finalize(result, ms);
-  result.total_scenarios = result.outcomes.size();
-  result.explored_scenarios = result.outcomes.size();
-  result.coverage = 1.0;
-  result.sweep_ms = sweep_timer.ms();
-  return result;
-}
 
 FailureSweepResult sweep_failures(RealConfig& rc, const config::NetworkConfig& healthy,
                                   const FailureSweepOptions& options) {
@@ -251,9 +199,7 @@ FailureSweepResult sweep_failures(RealConfig& rc, const config::NetworkConfig& h
       } catch (const dd::NonterminationError&) {
         out.diverged = true;
       }
-      for (const topo::LinkId l : out.scenario.links) {
-        config::restore_link(scenario_cfg, topo, l);
-      }
+      reset_links(scenario_cfg, healthy, topo, out.scenario.links);
       out.total_ms = scenario_timer.ms();
     }
   });

@@ -1,26 +1,19 @@
 #pragma once
 
 // Failure-scenario analysis (paper §2 "Specification mining"): sweep link
-// failure scenarios with long-lived, incrementally updated verifiers
-// instead of a from-scratch verification per scenario.
-//
-// Two sweep strategies share one result shape:
-//  - sweep_single_link_failures: the historical reconverge-in-place loop
-//    (fail -> verify -> restore -> verify on the caller's verifier), now
-//    with divergence recovery: an oscillating scenario is recorded in
-//    `diverged_links` and the verifier is rolled back to a snapshot of the
-//    healthy state instead of staying poisoned.
-//  - sweep_failures: snapshot/fork — checkpoint the healthy state once,
-//    then run every scenario as "restore snapshot -> apply delta -> check
-//    -> discard" on forked replicas, optionally sharded over a worker pool
-//    (one replica per worker, so nothing is shared but the immutable
-//    snapshot). Supports k simultaneous link failures for any k, with
-//    Plankton-style pruning for the deep space (sweep_space.h): dependency
-//    pruning (skip scenarios that cannot move a registered policy),
-//    fat-tree pod symmetry dedup (verify one orbit representative, replay
-//    its outcome across the orbit), and prioritized budgeted generation
-//    with a coverage metric. DESIGN.md decision 13 states what each
-//    reduction does and does not preserve.
+// failure scenarios by snapshot/fork instead of a from-scratch verification
+// per scenario. sweep_failures checkpoints the healthy state once, then runs
+// every scenario as "restore snapshot -> apply delta -> check -> discard" on
+// forked replicas, optionally sharded over a worker pool (one replica per
+// worker, so nothing is shared but the immutable snapshot). A scenario whose
+// control plane oscillates is recorded as diverged; the next restore
+// un-poisons the replica. Supports k simultaneous link failures for any k,
+// with Plankton-style pruning for the deep space (sweep_space.h): dependency
+// pruning (skip scenarios that cannot move a registered policy), fat-tree
+// pod symmetry dedup (verify one orbit representative, replay its outcome
+// across the orbit), and prioritized budgeted generation with a coverage
+// metric. DESIGN.md decision 13 states what each reduction does and does
+// not preserve.
 //
 // Two consumers: Config2Spec-style mining ("which reachability guarantees
 // survive every single-link failure?") and operational what-if analysis
@@ -41,8 +34,8 @@ struct FailureScenario {
 };
 
 /// What one scenario did to the network, relative to the healthy state.
-/// Semantic fields (everything except the timings) are identical whichever
-/// sweep strategy produced them and for any thread count.
+/// Semantic fields (everything except the timings) are identical for any
+/// thread count.
 struct ScenarioOutcome {
   FailureScenario scenario;
   /// The control plane has no stable state under this failure (the apply
@@ -58,7 +51,7 @@ struct ScenarioOutcome {
   /// dedup is off or the orbit is a singleton).
   std::size_t orbit = 1;
   double total_ms = 0;              ///< wall time incl. state reset + verify
-  double restore_ms = 0;            ///< snapshot-restore share (0 when in-place)
+  double restore_ms = 0;            ///< snapshot-restore share
 };
 
 struct FailureSweepResult {
@@ -100,17 +93,6 @@ struct FailureSweepResult {
   double snapshot_ms = 0;  ///< cost of checkpointing the healthy state
   double sweep_ms = 0;     ///< total wall time of the sweep
 };
-
-/// Verify every single-link-failure scenario (or the `links` subset)
-/// incrementally, in place: fail -> re-verify -> restore -> re-verify on
-/// `rc` itself. A scenario that diverges is recorded in `diverged_links`
-/// and rolled back via a healthy-state snapshot taken at sweep start; the
-/// verifier is always left back in the healthy state with
-/// rc.poisoned() == false. `healthy` must be the configuration most
-/// recently applied to `rc`.
-FailureSweepResult sweep_single_link_failures(RealConfig& rc,
-                                              const config::NetworkConfig& healthy,
-                                              const std::vector<topo::LinkId>& links = {});
 
 struct FailureSweepOptions {
   /// Scenarios to run verbatim (normalized to sorted-unique). Empty =>

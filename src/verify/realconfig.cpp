@@ -111,8 +111,6 @@ std::unique_ptr<RealConfig> RealConfig::fork(const Snapshot& snap) const {
 std::unique_ptr<RealConfig> RealConfig::fork(const Snapshot& snap,
                                              RealConfigOptions opts) const {
   auto replica = std::make_unique<RealConfig>(topo_, opts);
-  replica->generator_.set_flush_budget(generator_.flush_budget());
-  replica->generator_.set_recurrence_threshold(generator_.recurrence_threshold());
   replica->restore(snap);
   return replica;
 }

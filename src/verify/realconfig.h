@@ -152,14 +152,13 @@ class RealConfig {
   /// the shared snapshot). `snap` becomes the replica's rollback base, so
   /// restoring it again is O(change) in the dataflow layer. Replicas are
   /// built single-threaded (threads = 1) to keep nested worker pools out of
-  /// sharded sweeps; generator tuning (flush budget, recurrence threshold)
-  /// is inherited from this instance.
+  /// sharded sweeps.
   std::unique_ptr<RealConfig> fork(const Snapshot& snap) const;
 
   /// fork() with caller-chosen options — for replicas that must deviate
   /// from the parent's tuning (the relational checker disables reclamation
-  /// so fork EC ids stay relatable to base ids). Generator tuning is still
-  /// inherited; the topology contract is unchanged.
+  /// so fork EC ids stay relatable to base ids). The topology contract is
+  /// unchanged.
   std::unique_ptr<RealConfig> fork(const Snapshot& snap, RealConfigOptions opts) const;
 
   // --- policy helpers (by device name; packets default to "everything") --

@@ -48,9 +48,10 @@ std::vector<net::Ipv4Prefix> script_prefixes() {
 
 class BackendParity : public ::testing::TestWithParam<BackendKind> {};
 
+// The requestable kinds only: PacketSpace(kInterval) behaves as kAuto, so
+// an interval instance would repeat the auto one.
 INSTANTIATE_TEST_SUITE_P(Backends, BackendParity,
-                         ::testing::Values(BackendKind::kBdd, BackendKind::kInterval,
-                                           BackendKind::kAuto),
+                         ::testing::Values(BackendKind::kBdd, BackendKind::kAuto),
                          [](const auto& info) { return to_string(info.param); });
 
 TEST_P(BackendParity, RegisterSplitsAreBitIdentical) {

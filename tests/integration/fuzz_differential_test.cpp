@@ -10,10 +10,10 @@
 //   (4) NetworkModel::permits() never takes its BDD fallback — the eager
 //       permit_by_ec maintenance provably keeps worker threads away from
 //       the non-thread-safe BddManager.
-//   (5) what-if failure sweeps agree scenario-for-scenario between the
-//       reconverge-in-place strategy, the snapshot-fork strategy (sharded
-//       over 2 workers), and a from-scratch verifier built directly on
-//       each failed configuration; and deep (max_failures=2) pruned sweeps
+//   (5) the snapshot-fork what-if sweep (sharded over 2 workers, and
+//       including links the configuration already has down) agrees
+//       scenario-for-scenario with a from-scratch verifier built directly
+//       on each failed configuration; and deep (max_failures=2) pruned sweeps
 //       stay bit-identical to exhaustive sweeps over the same universe
 //       wherever both looked — identical policy_violations, identical
 //       outcomes for every explored scenario, violation-free exhaustive
@@ -231,6 +231,19 @@ TEST(FuzzDifferential, RandomNetworksAgreeAcrossOraclesAndThreadCounts) {
       policy_specs.push_back({isolated, src, dst});
       policies.push_back(id);
     }
+    // Registers the same policies, in the same order (so with the same ids),
+    // on a from-scratch verifier.
+    const auto register_policies = [&](verify::RealConfig& rc) {
+      for (const PolicySpec& p : policy_specs) {
+        if (p.isolated) {
+          rc.require_isolated(t.node(p.src).name, t.node(p.dst).name,
+                              config::host_prefix(p.dst));
+        } else {
+          rc.require_reachable(t.node(p.src).name, t.node(p.dst).name,
+                               config::host_prefix(p.dst));
+        }
+      }
+    };
 
     // --- initial apply + change sequence ----------------------------------
     std::vector<topo::LinkId> failed;
@@ -293,15 +306,7 @@ TEST(FuzzDifferential, RandomNetworksAgreeAcrossOraclesAndThreadCounts) {
       verify::RealConfigOptions o;
       o.reclamation.enabled = true;
       verify::RealConfig rebuilt(t, o);
-      for (const PolicySpec& p : policy_specs) {
-        if (p.isolated) {
-          rebuilt.require_isolated(t.node(p.src).name, t.node(p.dst).name,
-                                   config::host_prefix(p.dst));
-        } else {
-          rebuilt.require_reachable(t.node(p.src).name, t.node(p.dst).name,
-                                    config::host_prefix(p.dst));
-        }
-      }
+      register_policies(rebuilt);
       rebuilt.apply(cfg);
       EXPECT_EQ(lanes[kReclaimBase]->ecs().ec_count(), rebuilt.ecs().ec_count())
           << "reclaimed partition is not as small as a fresh rebuild's";
@@ -310,18 +315,23 @@ TEST(FuzzDifferential, RandomNetworksAgreeAcrossOraclesAndThreadCounts) {
     }
 
     // --- Oracle 5: what-if sweep agreement --------------------------------
-    // Sample a few links that are up in the final configuration (sweeping a
-    // link the config already failed would make the serial sweep's
-    // restore_link un-fail it behind the oracle's back).
+    // Sample the links the final configuration already has down (up to
+    // two, first, so each lane runs another scenario after one of them)
+    // plus the lowest-numbered links. The fork sweep, sharded over 2
+    // workers, must agree scenario-for-scenario with a from-scratch
+    // verifier built directly on each failed configuration.
     std::vector<topo::LinkId> sweep_links;
-    for (topo::LinkId l = 0; l < t.link_count() && sweep_links.size() < 4; ++l) {
-      if (std::find(failed.begin(), failed.end(), l) == failed.end()) {
+    for (const topo::LinkId l : failed) {
+      if (sweep_links.size() < 2 &&
+          std::find(sweep_links.begin(), sweep_links.end(), l) == sweep_links.end()) {
         sweep_links.push_back(l);
       }
     }
-    const verify::FailureSweepResult serial =
-        verify::sweep_single_link_failures(*lanes[0], cfg, sweep_links);
-
+    for (topo::LinkId l = 0; l < t.link_count() && sweep_links.size() < 6; ++l) {
+      if (std::find(sweep_links.begin(), sweep_links.end(), l) == sweep_links.end()) {
+        sweep_links.push_back(l);
+      }
+    }
     verify::FailureSweepOptions sweep_options;
     for (const topo::LinkId l : sweep_links) {
       sweep_options.scenarios.push_back(verify::FailureScenario{{l}});
@@ -330,35 +340,53 @@ TEST(FuzzDifferential, RandomNetworksAgreeAcrossOraclesAndThreadCounts) {
     const verify::FailureSweepResult forked =
         verify::sweep_failures(*lanes[0], cfg, sweep_options);
 
-    ASSERT_EQ(forked.outcomes.size(), serial.outcomes.size());
-    for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {
+    using Pair = std::pair<topo::NodeId, topo::NodeId>;
+    const std::vector<Pair> healthy_pairs = lanes[0]->checker().reachable_pairs();
+    std::set<Pair> survivors(healthy_pairs.begin(), healthy_pairs.end());
+    std::vector<topo::LinkId> critical;
+    ASSERT_EQ(forked.outcomes.size(), sweep_links.size());
+    for (std::size_t i = 0; i < sweep_links.size(); ++i) {
       SCOPED_TRACE("sweep scenario " + std::to_string(i));
-      const verify::ScenarioOutcome& a = serial.outcomes[i];
       const verify::ScenarioOutcome& b = forked.outcomes[i];
-      EXPECT_EQ(b.scenario, a.scenario);
-      EXPECT_EQ(b.diverged, a.diverged);
-      EXPECT_EQ(b.reachable_pairs, a.reachable_pairs);
-      EXPECT_EQ(b.pairs_lost, a.pairs_lost);
-      EXPECT_EQ(b.violated, a.violated);
-      EXPECT_EQ(b.gained_loop, a.gained_loop);
+      EXPECT_EQ(b.scenario.links, std::vector<topo::LinkId>{sweep_links[i]});
 
-      // From-scratch rebuild on the failed configuration: the incremental
-      // restore-then-delta path must land on the same reachable set.
-      if (!a.diverged) {
-        config::NetworkConfig scenario_cfg = cfg;
-        config::fail_link(scenario_cfg, t, a.scenario.links.front());
-        verify::RealConfig scratch(t);
+      config::NetworkConfig scenario_cfg = cfg;
+      config::fail_link(scenario_cfg, t, sweep_links[i]);
+      verify::RealConfig scratch(t);
+      register_policies(scratch);
+      try {
         scratch.apply(scenario_cfg);
-        EXPECT_EQ(a.reachable_pairs, scratch.checker().reachable_pairs().size());
-        EXPECT_EQ(b.gained_loop,
-                  scratch.checker().loop_count() > lanes[0]->checker().loop_count());
+      } catch (const dd::NonterminationError&) {
+        EXPECT_TRUE(b.diverged) << "scratch diverged, the fork sweep did not";
+        continue;
       }
+      EXPECT_FALSE(b.diverged);
+      const std::vector<Pair> now = scratch.checker().reachable_pairs();
+      std::vector<Pair> lost;
+      std::set_difference(healthy_pairs.begin(), healthy_pairs.end(), now.begin(),
+                          now.end(), std::back_inserter(lost));
+      EXPECT_EQ(b.reachable_pairs, now.size());
+      EXPECT_EQ(b.pairs_lost, lost.size());
+      std::vector<verify::PolicyId> violated;
+      for (const verify::PolicyId id : policies) {
+        if (lanes[0]->checker().policy_satisfied(id) &&
+            !scratch.checker().policy_satisfied(id)) {
+          violated.push_back(id);
+        }
+      }
+      EXPECT_EQ(b.violated, violated);
+      EXPECT_EQ(b.gained_loop,
+                scratch.checker().loop_count() > lanes[0]->checker().loop_count());
+      for (const Pair& p : lost) survivors.erase(p);
+      if (!lost.empty()) critical.push_back(sweep_links[i]);
     }
-    EXPECT_EQ(forked.fault_tolerant_pairs, serial.fault_tolerant_pairs);
-    EXPECT_EQ(forked.critical_links, serial.critical_links);
+    std::sort(critical.begin(), critical.end());
+    EXPECT_EQ(forked.fault_tolerant_pairs,
+              std::vector<Pair>(survivors.begin(), survivors.end()));
+    EXPECT_EQ(forked.critical_links, critical);
 
-    // Both sweeps hand the verifier back in its healthy state.
-    EXPECT_EQ(lanes[0]->checker().reachable_pairs(), serial.healthy_pairs);
+    // The fork sweep hands the verifier back untouched.
+    EXPECT_EQ(lanes[0]->checker().reachable_pairs(), forked.healthy_pairs);
 
     // --- Oracle 5 (deep space): pruned vs exhaustive, same universe -------
     // max_failures=2 over the sampled links: dependency pruning may only
@@ -1018,8 +1046,6 @@ TEST(FuzzDifferential, RolledBackReplicaRecoversFromDivergence) {
   const config::NetworkConfig healthy = config::build_bgp_network(t);
   const config::NetworkConfig gadget = service::testutil::bad_gadget(t);
   verify::RealConfig rc(t);
-  rc.generator().set_flush_budget(2'000'000);
-  rc.generator().set_recurrence_threshold(500);
   std::vector<verify::PolicyId> policies;
   for (unsigned i = 1; i <= 3; ++i) {
     policies.push_back(rc.require_reachable("m" + std::to_string(i), "m0",

@@ -246,8 +246,6 @@ TEST(Generator, BadGadgetOscillationDetected) {
   config::set_local_pref(cfg, "m3", "to-m1", 200);
 
   IncrementalGenerator gen(t);
-  gen.set_flush_budget(2'000'000);
-  gen.set_recurrence_threshold(500);
   EXPECT_THROW(gen.apply(cfg), dd::NonterminationError);
 }
 

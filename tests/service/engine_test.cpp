@@ -181,7 +181,6 @@ TEST(Engine, NonterminatingProposeRecoversViaSession) {
 
   Engine engine;
   Request open = open_request(1, "net", "full_mesh", 4, good);
-  open.options = testutil::fast_divergence_options();
   ASSERT_TRUE(engine.call(std::move(open)).ok);
 
   const Response r =
@@ -495,7 +494,6 @@ TEST(Engine, SweepVerbSurvivesDivergentScenarios) {
 
   Engine engine;
   Request open = open_request(1, "net", "full_mesh", 4, cfg);
-  open.options = testutil::fast_divergence_options();
   ASSERT_TRUE(engine.call(std::move(open)).ok);
 
   Request sweep = verb_request(2, "net", Verb::kSweep);
@@ -522,7 +520,6 @@ TEST(Engine, SweepVerbSurvivesDivergentScenarios) {
   config::set_local_pref(c5, "m1", "to-m0", 300);
   config::set_local_pref(c5, "m1", "to-m4", 250);
   Request open5 = open_request(3, "net5", "full_mesh", 5, c5);
-  open5.options = testutil::fast_divergence_options();
   ASSERT_TRUE(engine.call(std::move(open5)).ok);
 
   Request pairs = verb_request(4, "net5", Verb::kSweep);

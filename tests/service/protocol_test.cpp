@@ -277,6 +277,8 @@ TEST(Protocol, RcfgdTranscriptEndToEnd) {
   std::ostringstream script;
   script << "# rcfgd acceptance transcript\n";
   script << "#pause\n";  // force one deterministic batch
+  // flush_budget / recurrence_threshold are retired open options; an older
+  // client that still sends them gets them ignored like any unknown key.
   script << request_line({{"id", json::Value(1)},
                           {"op", json::Value("open")},
                           {"session", json::Value("net1")},

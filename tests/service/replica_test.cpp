@@ -213,7 +213,7 @@ TEST(Replica, RebuildAfterNonterminationResyncsLanes) {
   const config::NetworkConfig good = config::build_bgp_network(t);
   const config::NetworkConfig bad = testutil::bad_gadget(t);
 
-  SessionOptions sopts = testutil::fast_divergence_options();
+  SessionOptions sopts;
   sopts.replicas = 1;
   Engine engine;
   ASSERT_TRUE(engine.call(open_request(1, "net", "full_mesh", 4, good, sopts)).ok);

@@ -2,8 +2,7 @@
 
 // Shared fixtures for the service-layer tests: a converging BGP full mesh
 // and its nonterminating BAD-GADGET variant (Griffin's dispute wheel, the
-// same recipe as tests/routing/generator_test.cpp), plus session options
-// that make the divergence detectors trip quickly.
+// same recipe as tests/routing/generator_test.cpp).
 
 #include "config/builders.h"
 #include "service/session.h"
@@ -21,14 +20,6 @@ inline config::NetworkConfig bad_gadget(const topo::Topology& full_mesh4) {
   config::set_local_pref(cfg, "m2", "to-m3", 200);
   config::set_local_pref(cfg, "m3", "to-m1", 200);
   return cfg;
-}
-
-/// Divergence detectors tuned down so the bad gadget fails in ~ms.
-inline SessionOptions fast_divergence_options() {
-  SessionOptions opts;
-  opts.flush_budget = 2'000'000;
-  opts.recurrence_threshold = 500;
-  return opts;
 }
 
 }  // namespace rcfg::service::testutil

@@ -117,7 +117,7 @@ TEST(Session, PolicyRegistryValidation) {
 TEST(Session, RecoversFromNonterminatingProposal) {
   const topo::Topology t = topo::make_full_mesh(4);
   const config::NetworkConfig good = config::build_bgp_network(t);
-  Session s("net", t, good, testutil::fast_divergence_options());
+  Session s("net", t, good);
 
   const auto p1 = config::host_prefix(t.find_node("m1"));
   s.add_policy(reach("m0-m1", "m0", "m1", p1));
@@ -165,7 +165,7 @@ TEST(Session, ReRegisteredPoliciesFireAfterRecovery) {
   // change produces events — not merely present in the registry.
   const topo::Topology t = topo::make_full_mesh(4);
   const config::NetworkConfig good = config::build_bgp_network(t);
-  Session s("net", t, good, testutil::fast_divergence_options());
+  Session s("net", t, good);
   const auto p1 = config::host_prefix(t.find_node("m1"));
   s.add_policy(reach("m0-m1", "m0", "m1", p1));
   ASSERT_TRUE(s.policy_satisfied("m0-m1"));
@@ -212,9 +212,7 @@ TEST(Session, ReRegisteredPoliciesFireAfterRecovery) {
 TEST(Session, NonterminatingInitialConfigThrows) {
   const topo::Topology t = topo::make_full_mesh(4);
   // No committed baseline to fall back to: construction must fail loudly.
-  EXPECT_THROW(
-      Session("net", t, testutil::bad_gadget(t), testutil::fast_divergence_options()),
-      dd::NonterminationError);
+  EXPECT_THROW(Session("net", t, testutil::bad_gadget(t)), dd::NonterminationError);
 }
 
 }  // namespace

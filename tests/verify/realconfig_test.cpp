@@ -183,8 +183,6 @@ TEST(RealConfig, NonconvergentConfigThrows) {
   config::set_local_pref(cfg, "m3", "to-m1", 200);
 
   RealConfig rc(t);
-  rc.generator().set_flush_budget(2'000'000);
-  rc.generator().set_recurrence_threshold(500);
   EXPECT_FALSE(rc.poisoned());
   EXPECT_THROW(rc.apply(cfg), dd::NonterminationError);
 
@@ -283,8 +281,6 @@ TEST(RealConfigSnapshot, RestoreUnpoisonsAfterDivergence) {
   const topo::Topology t = topo::make_full_mesh(4);
   const config::NetworkConfig healthy = stabilized_gadget(t);
   RealConfig rc(t);
-  rc.generator().set_flush_budget(2'000'000);
-  rc.generator().set_recurrence_threshold(500);
   rc.apply(healthy);
   const auto healthy_pairs = rc.checker().reachable_pairs();
   const auto snap = rc.snapshot();
