@@ -41,8 +41,8 @@ namespace {
 
 /// Quarantine `victim`'s host prefix at `device`: deny-then-permit ACL on
 /// every transit interface.
-void quarantine_at(config::NetworkConfig& cfg, const topo::Topology& t,
-                   const std::string& device, net::Ipv4Prefix victim) {
+void quarantine_at(config::NetworkConfig& cfg, const std::string& device,
+                   net::Ipv4Prefix victim) {
   auto& dev = cfg.devices.at(device);
   config::Acl acl;
   acl.name = "QUARANTINE";
@@ -88,7 +88,7 @@ int main() {
   const net::Ipv4Prefix victim = config::host_prefix(victim_node);
   config::NetworkConfig proposed = base;
   for (unsigned j = 0; j < k * k / 4; ++j) {
-    quarantine_at(proposed, topo, "core" + std::to_string(j), victim);
+    quarantine_at(proposed, "core" + std::to_string(j), victim);
   }
   config::set_ospf_cost(proposed, "agg0-0", "to-core0", 5);
 
@@ -152,16 +152,14 @@ int main() {
   for (unsigned pod = 0; pod < k; pod += 2) {
     config::NetworkConfig step_cfg = base;
     const std::string device = "edge" + std::to_string(pod) + "-0";
-    quarantine_at(step_cfg, topo, device, victim);
+    quarantine_at(step_cfg, device, victim);
     relate::UpdateStep step;
     step.name = "quarantine-" + device;
     step.patch.devices[device] = step_cfg.devices.at(device);
     steps.push_back(std::move(step));
   }
   relate::UpdateOrderSynthesizer synth(rc, base);
-  const bench::Timer t_order;
   const relate::OrderResult order = synth.synthesize(steps);
-  const double order_ms = t_order.ms();
   const double placements_per_sec =
       order.search_ms > 0 ? static_cast<double>(order.explored) / (order.search_ms / 1000.0)
                           : 0;

@@ -13,6 +13,36 @@
 
 namespace rcfg::service {
 
+namespace {
+
+/// Runs `f` and records its wall time in `h` (not when it throws).
+template <class F>
+auto timed(Histogram& h, F&& f) {
+  const auto t0 = std::chrono::steady_clock::now();
+  auto result = f();
+  h.record(
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count());
+  return result;
+}
+
+/// The response envelope: the body `f` builds plus "id" and, for a verb
+/// that names a session, "session". An exception from `f` is answered as
+/// "<verb>: <what>".
+template <class F>
+Response respond(const Request& req, F&& f) {
+  Response r;
+  r.id = req.id;
+  try {
+    r.body = f();
+  } catch (const std::exception& e) {
+    return error_response(req.id, std::string(verb_name(req.verb)) + ": " + e.what());
+  }
+  if (verb_info(req.verb).needs_session) r.body["session"] = json::Value(req.session);
+  return r;
+}
+
+}  // namespace
+
 Engine::Engine(EngineOptions options) : options_(options) {
   if (options_.workers == 0) options_.workers = 1;
   if (options_.read_workers == 0) options_.read_workers = 1;
@@ -81,49 +111,48 @@ std::size_t Engine::session_count() const {
 
 void Engine::submit(Request req, Callback callback) {
   metrics_.requests_total.inc();
+  metrics_.requests(req.verb).inc();
 
   if (req.verb == Verb::kStats) {
-    metrics_.stats_calls.inc();
     drain();  // report a quiescent engine: everything submitted before us is done
-    Response r;
-    r.id = req.id;
-    r.body = stats_json();
-    callback(std::move(r));
+    ReplicaEffect none;
+    callback(respond(req, [&] { return run_(nullptr, nullptr, req, none); }));
     return;
   }
 
-  switch (req.verb) {
-    case Verb::kOpen: metrics_.opens.inc(); break;
-    case Verb::kPropose: metrics_.proposes.inc(); break;
-    case Verb::kCommit: metrics_.commits.inc(); break;
-    case Verb::kAbort: metrics_.aborts.inc(); break;
-    case Verb::kAddPolicy: metrics_.add_policies.inc(); break;
-    case Verb::kQuery: metrics_.queries.inc(); break;
-    case Verb::kExplain: metrics_.explains.inc(); break;
-    case Verb::kSweep: metrics_.sweeps.inc(); break;
-    case Verb::kRelate: metrics_.relates.inc(); break;
-    case Verb::kOrder: metrics_.orders.inc(); break;
-    case Verb::kStats: break;
-  }
-
   std::unique_lock<std::mutex> lock(mu_);
+  // Requests that cannot be queued are answered here, outside the lock.
+  const auto refuse = [&](std::string message) {
+    lock.unlock();
+    metrics_.errors_total.inc();
+    callback(error_response(req.id, std::move(message)));
+  };
+  // Backpressure: a full queue blocks the submitter — or, with
+  // reject_on_full, answers an explicit backpressure error so the caller
+  // can shed load. False when the request was refused.
+  const auto admit = [&](const std::deque<Pending>& queue) {
+    if (queue.size() >= options_.queue_capacity && options_.reject_on_full) {
+      metrics_.rejected_total.inc();
+      refuse("backpressure: session '" + req.session + "' queue full");
+      return false;
+    }
+    space_cv_.wait(lock, [&] { return queue.size() < options_.queue_capacity; });
+    return true;
+  };
+
   auto it = slots_.find(req.session);
   if (req.verb == Verb::kOpen) {
     // A slot without a session holds an open still in flight, or a failed
     // one whose worker has answered but not yet erased the slot. Queue
-    // behind it: handle_open_ rejects this open if that one succeeded, and
-    // a name whose open failed is reusable at once.
+    // behind it: the worker rejects this open if that one succeeded, and a
+    // name whose open failed is reusable at once.
     if (it != slots_.end() && it->second.has_session) {
-      lock.unlock();
-      metrics_.errors_total.inc();
-      callback(error_response(req.id, "session already open: '" + req.session + "'"));
+      refuse("session already open: '" + req.session + "'");
       return;
     }
     it = slots_.try_emplace(req.session).first;
   } else if (it == slots_.end()) {
-    lock.unlock();
-    metrics_.errors_total.inc();
-    callback(error_response(req.id, "unknown session: '" + req.session + "'"));
+    refuse("unknown session: '" + req.session + "'");
     return;
   }
 
@@ -135,9 +164,8 @@ void Engine::submit(Request req, Callback callback) {
   // fence — the read needs no replay — round-robin among those; with every
   // lane behind, pick the freshest, so one lane pays the catch-up instead
   // of spreading the same replay across all of them.
-  const bool is_read = req.verb == Verb::kQuery || req.verb == Verb::kExplain ||
-                       req.verb == Verb::kRelate;
-  if (is_read && !req.force_primary && slot.has_session && !slot.lanes.empty()) {
+  if (verb_info(req.verb).replica_read && !req.force_primary && slot.has_session &&
+      !slot.lanes.empty()) {
     const std::uint64_t fence = slot.processed_epoch;
     std::size_t lane_index = slot.lanes.size();
     for (std::size_t i = 0; i < slot.lanes.size(); ++i) {
@@ -156,15 +184,7 @@ void Engine::submit(Request req, Callback callback) {
     if (lane_index != slot.lanes.size()) {  // else: every lane broken -> primary
       slot.next_lane = (lane_index + 1) % slot.lanes.size();
       ReplicaLane& lane = *slot.lanes[lane_index];
-      if (lane.queue.size() >= options_.queue_capacity && options_.reject_on_full) {
-        lock.unlock();
-        metrics_.rejected_total.inc();
-        metrics_.errors_total.inc();
-        callback(error_response(req.id,
-                                "backpressure: session '" + req.session + "' queue full"));
-        return;
-      }
-      space_cv_.wait(lock, [&] { return lane.queue.size() < options_.queue_capacity; });
+      if (!admit(lane.queue)) return;
       Pending pending{std::move(req), std::move(callback)};
       pending.fence = slot.processed_epoch;
       lane.queue.push_back(std::move(pending));
@@ -174,21 +194,10 @@ void Engine::submit(Request req, Callback callback) {
     }
   }
 
-  // Backpressure: a full queue blocks the submitter — or, with
-  // reject_on_full, answers an explicit backpressure error so the caller
-  // can shed load. The slot cannot be erased while its queue is non-empty,
-  // so the reference stays valid.
-  if (slot.queue.size() >= options_.queue_capacity && options_.reject_on_full) {
-    // An `open` slot just created above has an empty queue, so this path
-    // never strands a fresh slot.
-    lock.unlock();
-    metrics_.rejected_total.inc();
-    metrics_.errors_total.inc();
-    callback(error_response(req.id,
-                            "backpressure: session '" + req.session + "' queue full"));
-    return;
-  }
-  space_cv_.wait(lock, [&] { return slot.queue.size() < options_.queue_capacity; });
+  // The slot cannot be erased while its queue is non-empty, so the
+  // reference stays valid; an `open` slot just created above has an empty
+  // queue, so a refusal never strands a fresh slot.
+  if (!admit(slot.queue)) return;
 
   slot.queue.push_back(Pending{std::move(req), std::move(callback)});
   metrics_.queue_depth.add(1);
@@ -297,32 +306,29 @@ void Engine::read_worker_loop_() {
     lock.unlock();
     space_cv_.notify_all();
 
-    bool broke = false;
-    if (!deltas.empty()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (ReplicaDelta& delta : deltas) {
-        try {
+    // Delta replay threw: it diverged from the primary (should be
+    // impossible — deterministic apply on an identical fork). Contain: stop
+    // the lane, fall every queued read back to the primary.
+    const bool broke = !deltas.empty() && timed(metrics_.replica_catchup_ms, [&] {
+      try {
+        for (ReplicaDelta& delta : deltas) {
           if (delta.kind == ReplicaDelta::Kind::kResync) {
             lane.replica = std::move(delta.resync);
           } else {
             lane.replica->apply_replica_delta(delta);
           }
-        } catch (const std::exception&) {
-          // Replay diverged from the primary (should be impossible —
-          // deterministic apply on an identical fork). Contain: stop the
-          // lane, fall every queued read back to the primary.
-          broke = true;
-          break;
         }
+      } catch (const std::exception&) {
+        return true;
       }
-      metrics_.replica_catchup_ms.record(
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-              .count());
-    }
+      return false;
+    });
 
     if (!broke) {
       for (Pending& p : batch) {
-        Response r = handle_read_(name, *lane.replica, p.req);
+        ReplicaEffect none;
+        Response r =
+            respond(p.req, [&] { return run_(nullptr, lane.replica.get(), p.req, none); });
         metrics_.replica_queries.inc();
         if (!r.ok) metrics_.errors_total.inc();
         p.callback(std::move(r));
@@ -390,15 +396,22 @@ void Engine::process_batch_(Slot& slot, std::vector<Pending> batch) {
 
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Pending& p = batch[i];
+    const Request& req = p.req;
     Response r;
     ReplicaEffect effect;
     if (superseded_by[i] != 0) {
-      r.id = p.req.id;
-      r.body["session"] = json::Value(p.req.session);
-      r.body["status"] = json::Value("coalesced");
-      r.body["superseded_by"] = json::Value(superseded_by[i]);
+      r = respond(req, [&] {
+        json::Value body;
+        body["status"] = json::Value("coalesced");
+        body["superseded_by"] = json::Value(superseded_by[i]);
+        return body;
+      });
+    } else if (req.verb == Verb::kOpen && slot.session != nullptr) {
+      r = error_response(req.id, "session already open: '" + req.session + "'");
+    } else if (req.verb != Verb::kOpen && slot.session == nullptr) {
+      r = error_response(req.id, "session '" + req.session + "' failed to open");
     } else {
-      r = handle_(slot, p.req, effect);
+      r = respond(req, [&] { return run_(&slot, slot.session.get(), req, effect); });
     }
     // Acknowledge before the callback: once the caller sees the response,
     // the epoch fence guarantees any subsequent read observes this request.
@@ -533,6 +546,20 @@ void Engine::record_report_(Slot& slot, const verify::RealConfig::Report& report
 
 namespace {
 
+/// A policy's name, or "#<id>" for one registered without a name (every
+/// policy added through the service has one).
+std::string policy_label(const Session& session, verify::PolicyId id) {
+  std::string name = session.policy_name(id);
+  return name.empty() ? "#" + std::to_string(id) : name;
+}
+
+json::Value::Array policy_labels(const Session& session,
+                                 const std::vector<verify::PolicyId>& ids) {
+  json::Value::Array out;
+  for (const verify::PolicyId id : ids) out.emplace_back(policy_label(session, id));
+  return out;
+}
+
 /// The verb-independent summary of one verification round.
 json::Value report_body(const Session& session, const verify::RealConfig::Report& report) {
   json::Value body;
@@ -560,9 +587,7 @@ json::Value report_body(const Session& session, const verify::RealConfig::Report
   json::Value::Array events;
   for (const verify::PolicyEvent& e : report.check.events) {
     json::Value ev;
-    const std::string name = session.policy_name(e.id);
-    ev["policy"] = name.empty() ? json::Value(static_cast<std::uint64_t>(e.id))
-                                : json::Value(name);
+    ev["policy"] = json::Value(policy_label(session, e.id));
     ev["satisfied"] = json::Value(e.satisfied);
     events.push_back(std::move(ev));
   }
@@ -572,7 +597,7 @@ json::Value report_body(const Session& session, const verify::RealConfig::Report
 
 json::Value::Array link_id_array(const std::vector<topo::LinkId>& links) {
   json::Value::Array out;
-  for (const topo::LinkId l : links) out.push_back(json::Value(static_cast<std::uint64_t>(l)));
+  for (const topo::LinkId l : links) out.emplace_back(static_cast<std::uint64_t>(l));
   return out;
 }
 
@@ -589,9 +614,7 @@ json::Value sweep_body(const Session& session, const verify::FailureSweepResult&
   body["loop_links"] = json::Value(link_id_array(result.loop_scenarios));
   json::Value violations{json::Value::Object{}};  // {} even when nothing violated
   for (const auto& [policy, links] : result.policy_violations) {
-    const std::string name = session.policy_name(policy);
-    violations[name.empty() ? "#" + std::to_string(policy) : name] =
-        json::Value(link_id_array(links));
+    violations[policy_label(session, policy)] = json::Value(link_id_array(links));
   }
   body["policy_violations"] = std::move(violations);
   // Multi-link oscillation reports ride in the aggregate body so that
@@ -620,14 +643,7 @@ json::Value sweep_body(const Session& session, const verify::FailureSweepResult&
       o["reachable_pairs"] = json::Value(out.reachable_pairs);
       o["pairs_lost"] = json::Value(out.pairs_lost);
       o["gained_loop"] = json::Value(out.gained_loop);
-      json::Value::Array violated;
-      for (const verify::PolicyId id : out.violated) {
-        const std::string name = session.policy_name(id);
-        violated.push_back(name.empty()
-                               ? json::Value("#" + std::to_string(id))
-                               : json::Value(name));
-      }
-      o["violated"] = json::Value(std::move(violated));
+      o["violated"] = json::Value(policy_labels(session, out.violated));
     }
     if (out.orbit > 1) o["orbit"] = json::Value(out.orbit);
     o["total_ms"] = json::Value(out.total_ms);
@@ -738,7 +754,7 @@ json::Value relate_body(const Session& session, const relate::RelationalResult& 
     vj["spec"] = rs.name.empty() ? json::Value(v.spec) : json::Value(rs.name);
     vj["kind"] = json::Value(relate::to_string(rs.kind));
     json::Value::Array ecs;
-    for (const dpm::EcId ec : v.ecs) ecs.push_back(json::Value(static_cast<std::uint64_t>(ec)));
+    for (const dpm::EcId ec : v.ecs) ecs.emplace_back(static_cast<std::uint64_t>(ec));
     vj["ecs"] = json::Value(std::move(ecs));
     if (v.witness.has_value()) {
       json::Value w;
@@ -812,13 +828,7 @@ json::Value order_body(const Session& session, const relate::OrderResult& result
     json::Value s;
     s["name"] = json::Value(steps[v.step].name);
     s["converged"] = json::Value(v.converged);
-    json::Value::Array violated;
-    for (const verify::PolicyId id : v.violated) {
-      const std::string name = session.policy_name(id);
-      violated.push_back(name.empty() ? json::Value("#" + std::to_string(id))
-                                      : json::Value(name));
-    }
-    s["violated"] = json::Value(std::move(violated));
+    s["violated"] = json::Value(policy_labels(session, v.violated));
     s["affected_ecs"] = json::Value(v.affected_ecs);
     s["apply_ms"] = json::Value(v.apply_ms);
     verdicts.push_back(std::move(s));
@@ -838,14 +848,9 @@ json::Value explanation_body(const Session& session, const Session::ExplainResul
   body["trace_enabled"] = json::Value(session.tracing());
   if (!ex.has_witness) return body;
 
-  json::Value witness;
+  json::Value witness = flow_json(ex.witness);
   witness["ec"] = json::Value(static_cast<std::uint64_t>(ex.witness_ec));
   witness["ingress"] = json::Value(topo.node(ex.trace.ingress).name);
-  witness["src"] = json::Value(ex.witness.src.to_string());
-  witness["dst"] = json::Value(ex.witness.dst.to_string());
-  witness["proto"] = json::Value(proto_text(ex.witness.proto));
-  witness["src_port"] = json::Value(static_cast<std::uint64_t>(ex.witness.src_port));
-  witness["dst_port"] = json::Value(static_cast<std::uint64_t>(ex.witness.dst_port));
   body["witness"] = std::move(witness);
 
   json::Value::Array branches;
@@ -905,264 +910,197 @@ json::Value explanation_body(const Session& session, const Session::ExplainResul
   return body;
 }
 
+/// Serialize one query: one policy's verdict, or the session summary.
+json::Value query_body(Session& session, const std::string& policy) {
+  json::Value body;
+  if (!policy.empty()) {
+    body["policy"] = json::Value(policy);
+    body["satisfied"] = json::Value(session.policy_satisfied(policy));
+    return body;
+  }
+  verify::RealConfig& rc = session.verifier();
+  body["pairs"] = json::Value(rc.checker().pair_count());
+  body["loops"] = json::Value(rc.checker().loop_count());
+  body["blackholes"] = json::Value(rc.checker().blackhole_count());
+  body["ecs"] = json::Value(rc.ecs().ec_count());
+  body["staged"] = json::Value(session.has_staged());
+  body["rebuilds"] = json::Value(session.rebuilds());
+  body["generation"] = json::Value(session.generation());
+  json::Value::Array policies;
+  for (const PolicySpec& spec : session.policies()) {
+    json::Value p;
+    p["name"] = json::Value(spec.name);
+    p["satisfied"] = json::Value(session.policy_satisfied(spec.name));
+    policies.push_back(std::move(p));
+  }
+  body["policies"] = json::Value(std::move(policies));
+  return body;
+}
+
 }  // namespace
 
-Response Engine::handle_open_(Slot& slot, const Request& req, ReplicaEffect& effect) {
-  if (slot.session != nullptr) {
-    return error_response(req.id, "session already open: '" + req.session + "'");
+void Engine::ReplicaEffect::replay(const Session& session, bool id_space_moved,
+                                   std::shared_ptr<const config::NetworkConfig> applied,
+                                   bool staged) {
+  if (id_space_moved) {
+    kind = ReplicaDelta::Kind::kResync;
+    return;
   }
-  topo::Topology topology = build_topology(req.topology);
-  config::NetworkConfig initial = parse_config_text(req.config_text);
-  // May throw NonterminationError: with no committed baseline there is
-  // nothing to recover to, so a nonconvergent *initial* config fails open.
-  slot.session = std::make_unique<Session>(req.session, std::move(topology),
-                                           std::move(initial), req.options);
-  effect.install_lanes = req.options.replicas;
-  metrics_.sessions_open.add(1);
-  const verify::RealConfig::Report& report = slot.session->baseline_report();
-  record_report_(slot, report);
-
-  Response r;
-  r.id = req.id;
-  r.body = report_body(*slot.session, report);
-  r.body["session"] = json::Value(req.session);
-  r.body["status"] = json::Value("open");
-  r.body["nodes"] = json::Value(slot.session->topology().node_count());
-  r.body["links"] = json::Value(slot.session->topology().link_count());
-  r.body["rules"] = json::Value(slot.session->verifier().generator().fib().size());
-  r.body["ecs"] = json::Value(slot.session->verifier().ecs().ec_count());
-  r.body["pairs"] = json::Value(slot.session->verifier().checker().pair_count());
-  return r;
-}
-
-Response Engine::handle_read_(const std::string& session_name, Session& session,
-                              const Request& req) {
-  try {
-    Response r;
-    r.id = req.id;
-    r.body["session"] = json::Value(session_name);
-
-    switch (req.verb) {
-      case Verb::kQuery: {
-        if (!req.query_policy.empty()) {
-          r.body["policy"] = json::Value(req.query_policy);
-          r.body["satisfied"] = json::Value(session.policy_satisfied(req.query_policy));
-          break;
-        }
-        verify::RealConfig& rc = session.verifier();
-        r.body["pairs"] = json::Value(rc.checker().pair_count());
-        r.body["loops"] = json::Value(rc.checker().loop_count());
-        r.body["blackholes"] = json::Value(rc.checker().blackhole_count());
-        r.body["ecs"] = json::Value(rc.ecs().ec_count());
-        r.body["staged"] = json::Value(session.has_staged());
-        r.body["rebuilds"] = json::Value(session.rebuilds());
-        r.body["generation"] = json::Value(session.generation());
-        json::Value::Array policies;
-        for (const PolicySpec& spec : session.policies()) {
-          json::Value p;
-          p["name"] = json::Value(spec.name);
-          p["satisfied"] = json::Value(session.policy_satisfied(spec.name));
-          policies.push_back(std::move(p));
-        }
-        r.body["policies"] = json::Value(std::move(policies));
-        break;
-      }
-      case Verb::kExplain: {
-        const auto t0 = std::chrono::steady_clock::now();
-        const Session::ExplainResult result = session.explain(req.query_policy);
-        const auto t1 = std::chrono::steady_clock::now();
-        metrics_.explain_ms.record(
-            std::chrono::duration<double, std::milli>(t1 - t0).count());
-        json::Value body = explanation_body(session, result);
-        body["session"] = json::Value(session_name);
-        r.body = std::move(body);
-        break;
-      }
-      case Verb::kRelate: {
-        const config::NetworkConfig cfg = parse_config_text(req.config_text);
-        const auto t0 = std::chrono::steady_clock::now();
-        const relate::RelationalResult result =
-            session.relate(cfg, req.relate.specs, req.relate.witnesses);
-        metrics_.relate_ms.record(
-            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-                .count());
-        metrics_.relate_diff_ecs.inc(result.diff.ecs.size());
-        json::Value body = relate_body(session, result, req.relate);
-        body["session"] = json::Value(session_name);
-        r.body = std::move(body);
-        break;
-      }
-      default:
-        return error_response(req.id, "unreachable read verb");
-    }
-    return r;
-  } catch (const std::exception& e) {
-    return error_response(req.id, std::string(verb_name(req.verb)) + ": " + e.what());
+  kind = ReplicaDelta::Kind::kApply;
+  config = std::move(applied);
+  staged_after = staged;
+  if (session.tracing() && session.provenance()->latest() != nullptr) {
+    record = std::make_shared<const ::rcfg::explain::BatchRecord>(*session.provenance()->latest());
   }
 }
 
-Response Engine::handle_(Slot& slot, const Request& req, ReplicaEffect& effect) {
-  try {
-    if (req.verb == Verb::kOpen) return handle_open_(slot, req, effect);
-    if (slot.session == nullptr) {
-      return error_response(req.id, "session '" + req.session + "' failed to open");
+json::Value Engine::run_(Slot* slot, Session* session, const Request& req,
+                         ReplicaEffect& effect) {
+  json::Value body;
+  switch (req.verb) {
+    case Verb::kOpen: {
+      topo::Topology topology = build_topology(req.topology);
+      config::NetworkConfig initial = parse_config_text(req.config_text);
+      // May throw NonterminationError: with no committed baseline there is
+      // nothing to recover to, so a nonconvergent *initial* config fails open.
+      slot->session = std::make_unique<Session>(req.session, std::move(topology),
+                                                std::move(initial), req.options);
+      Session& opened = *slot->session;
+      effect.install_lanes = req.options.replicas;
+      metrics_.sessions_open.add(1);
+      record_report_(*slot, opened.baseline_report());
+      body = report_body(opened, opened.baseline_report());
+      body["status"] = json::Value("open");
+      body["nodes"] = json::Value(opened.topology().node_count());
+      body["links"] = json::Value(opened.topology().link_count());
+      body["rules"] = json::Value(opened.verifier().generator().fib().size());
+      body["ecs"] = json::Value(opened.verifier().ecs().ec_count());
+      body["pairs"] = json::Value(opened.verifier().checker().pair_count());
+      break;
     }
-    Session& session = *slot.session;
-
-    // The read verbs run against the primary here (sessions without lanes,
-    // or reads pinned with "primary":true). Replica-lane reads go through
-    // handle_read_ directly from the read workers.
-    if (req.verb == Verb::kQuery || req.verb == Verb::kExplain || req.verb == Verb::kRelate) {
-      return handle_read_(req.session, session, req);
+    case Verb::kPropose: {
+      auto cfg = std::make_shared<const config::NetworkConfig>(
+          parse_config_text(req.config_text));
+      const bool was_migrated = session->verifier().packet_space().migrated();
+      const ProposeOutcome outcome = session->propose(*cfg);
+      if (!outcome.converged) {
+        metrics_.recoveries.inc();
+        // The session rebuilt itself from the committed baseline: a fresh
+        // EC id space, so replicas must resync.
+        effect.kind = ReplicaDelta::Kind::kResync;
+        body["status"] = json::Value("nonconvergent");
+        body["recovered"] = json::Value(true);
+        body["rebuilds"] = json::Value(session->rebuilds());
+        body["detail"] = json::Value(outcome.error);
+        break;
+      }
+      record_report_(*slot, outcome.report);
+      effect.replay(*session,
+                    outcome.report.reclaim.remap.has_value() ||
+                        session->verifier().packet_space().migrated() != was_migrated,
+                    std::move(cfg), true);
+      body = report_body(*session, outcome.report);
+      body["status"] = json::Value("staged");
+      break;
     }
-
-    Response r;
-    r.id = req.id;
-    r.body["session"] = json::Value(req.session);
-
-    switch (req.verb) {
-      case Verb::kPropose: {
-        auto cfg = std::make_shared<const config::NetworkConfig>(
-            parse_config_text(req.config_text));
-        const bool was_migrated = session.verifier().packet_space().migrated();
-        const ProposeOutcome outcome = session.propose(*cfg);
-        if (outcome.converged) {
-          record_report_(slot, outcome.report);
-          // Incremental replay keeps replicas bit-identical — except where
-          // the id space moved underneath: a reclamation merge (EcRemap) or
-          // a backend migration. Those stream a fresh fork instead.
-          if (outcome.report.reclaim.remap.has_value() ||
-              session.verifier().packet_space().migrated() != was_migrated) {
-            effect.kind = ReplicaDelta::Kind::kResync;
-          } else {
-            effect.kind = ReplicaDelta::Kind::kApply;
-            effect.config = cfg;
-            effect.staged_after = true;
-            if (session.tracing() && session.provenance()->latest() != nullptr) {
-              effect.record = std::make_shared<const ::rcfg::explain::BatchRecord>(
-                  *session.provenance()->latest());
-            }
-          }
-          json::Value body = report_body(session, outcome.report);
-          body["session"] = json::Value(req.session);
-          body["status"] = json::Value("staged");
-          r.body = std::move(body);
-        } else {
-          metrics_.recoveries.inc();
-          // The session rebuilt itself from the committed baseline: a fresh
-          // EC id space, so replicas must resync.
-          effect.kind = ReplicaDelta::Kind::kResync;
-          r.body["status"] = json::Value("nonconvergent");
-          r.body["recovered"] = json::Value(true);
-          r.body["rebuilds"] = json::Value(session.rebuilds());
-          r.body["detail"] = json::Value(outcome.error);
-        }
-        break;
-      }
-      case Verb::kCommit:
-        session.commit();
-        effect.kind = ReplicaDelta::Kind::kCommit;
-        r.body["status"] = json::Value("committed");
-        break;
-      case Verb::kAbort: {
-        const verify::RealConfig::Report report = session.abort();
-        record_report_(slot, report);
-        if (report.reclaim.remap.has_value()) {
-          effect.kind = ReplicaDelta::Kind::kResync;
-        } else {
-          effect.kind = ReplicaDelta::Kind::kApply;
-          effect.config = std::make_shared<const config::NetworkConfig>(session.committed());
-          effect.staged_after = false;
-          if (session.tracing() && session.provenance()->latest() != nullptr) {
-            effect.record = std::make_shared<const ::rcfg::explain::BatchRecord>(
-                *session.provenance()->latest());
-          }
-        }
-        r.body["status"] = json::Value("aborted");
-        r.body["rollback_ms"] = json::Value(report.total_ms());
-        break;
-      }
-      case Verb::kAddPolicy: {
-        const bool satisfied = session.add_policy(req.policy);
-        effect.kind = ReplicaDelta::Kind::kAddPolicy;
-        effect.policy = std::make_shared<const PolicySpec>(req.policy);
-        r.body["status"] = json::Value("policy_added");
-        r.body["policy"] = json::Value(req.policy.name);
-        r.body["satisfied"] = json::Value(satisfied);
-        break;
-      }
-      case Verb::kSweep: {
-        verify::FailureSweepOptions options;
-        options.max_failures = req.sweep.max_failures;
-        options.budget = req.sweep.budget;
-        options.prune = req.sweep.prune;
-        options.symmetry = req.sweep.symmetry;
-        options.threads = req.sweep.threads;
-        if (!req.sweep.links.empty()) {
-          // An explicit link subset becomes the generator's universe, after
-          // restoring the sorted-unique invariant the generator relies on:
-          // duplicated or unsorted ids used to leak duplicate scenarios
-          // straight into the report.
-          std::vector<topo::LinkId> ls = req.sweep.links;
-          std::sort(ls.begin(), ls.end());
-          ls.erase(std::unique(ls.begin(), ls.end()), ls.end());
-          for (const topo::LinkId l : ls) {
-            if (l >= session.topology().link_count()) {
-              return error_response(req.id, "sweep: link id " + std::to_string(l) +
-                                                " out of range");
-            }
-          }
-          options.links = std::move(ls);
-        }
-        const verify::FailureSweepResult result = session.sweep(options);
-        metrics_.sweep_ms.record(result.sweep_ms);
-        metrics_.sweep_scenarios.inc(result.scenarios);
-        metrics_.sweep_pruned.inc(result.pruned_scenarios);
-        metrics_.sweep_replayed.inc(result.replayed_scenarios);
-        std::uint64_t diverged = 0;
-        for (const verify::ScenarioOutcome& out : result.outcomes) {
-          metrics_.sweep_scenario_ms.record(out.total_ms);
-          if (out.diverged) ++diverged;
-        }
-        metrics_.sweep_diverged.inc(diverged);
-        json::Value body = sweep_body(session, result, req.sweep.detail);
-        body["session"] = json::Value(req.session);
-        r.body = std::move(body);
-        break;
-      }
-      case Verb::kOrder: {
-        std::vector<relate::UpdateStep> steps;
-        steps.reserve(req.order.steps.size());
-        for (const OrderStepSpec& s : req.order.steps) {
-          relate::UpdateStep step;
-          step.name = s.name;
-          step.patch = parse_config_text(s.config_text);
-          steps.push_back(std::move(step));
-        }
-        relate::OrderOptions options;
-        options.max_blocking = req.order.max_blocking;
-        const auto t0 = std::chrono::steady_clock::now();
-        const relate::OrderResult result = session.order(steps, options);
-        metrics_.order_ms.record(
-            std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-                .count());
-        metrics_.order_steps_explored.inc(result.explored);
-        json::Value body = order_body(session, result, steps, req.order.detail);
-        body["session"] = json::Value(req.session);
-        r.body = std::move(body);
-        break;
-      }
-      case Verb::kOpen:
-      case Verb::kStats:
-      case Verb::kQuery:
-      case Verb::kExplain:
-      case Verb::kRelate:
-        return error_response(req.id, "unreachable verb");
+    case Verb::kCommit:
+      session->commit();
+      effect.kind = ReplicaDelta::Kind::kCommit;
+      body["status"] = json::Value("committed");
+      break;
+    case Verb::kAbort: {
+      const verify::RealConfig::Report report = session->abort();
+      record_report_(*slot, report);
+      effect.replay(*session, report.reclaim.remap.has_value(),
+                    std::make_shared<const config::NetworkConfig>(session->committed()), false);
+      body["status"] = json::Value("aborted");
+      body["rollback_ms"] = json::Value(report.total_ms());
+      break;
     }
-    return r;
-  } catch (const std::exception& e) {
-    return error_response(req.id, std::string(verb_name(req.verb)) + ": " + e.what());
+    case Verb::kAddPolicy: {
+      const bool satisfied = session->add_policy(req.policy);
+      effect.kind = ReplicaDelta::Kind::kAddPolicy;
+      effect.policy = std::make_shared<const PolicySpec>(req.policy);
+      body["status"] = json::Value("policy_added");
+      body["policy"] = json::Value(req.policy.name);
+      body["satisfied"] = json::Value(satisfied);
+      break;
+    }
+    case Verb::kQuery:
+      body = query_body(*session, req.query_policy);
+      break;
+    case Verb::kExplain:
+      body = explanation_body(*session, timed(metrics_.explain_ms, [&] {
+                                return session->explain(req.query_policy);
+                              }));
+      break;
+    case Verb::kSweep: {
+      verify::FailureSweepOptions options;
+      options.max_failures = req.sweep.max_failures;
+      options.budget = req.sweep.budget;
+      options.prune = req.sweep.prune;
+      options.symmetry = req.sweep.symmetry;
+      options.threads = req.sweep.threads;
+      if (!req.sweep.links.empty()) {
+        // An explicit link subset becomes the generator's universe, after
+        // restoring the sorted-unique invariant the generator relies on:
+        // duplicated or unsorted ids used to leak duplicate scenarios
+        // straight into the report.
+        std::vector<topo::LinkId> ls = req.sweep.links;
+        std::sort(ls.begin(), ls.end());
+        ls.erase(std::unique(ls.begin(), ls.end()), ls.end());
+        for (const topo::LinkId l : ls) {
+          if (l >= session->topology().link_count()) {
+            throw ProtocolError("link id " + std::to_string(l) + " out of range");
+          }
+        }
+        options.links = std::move(ls);
+      }
+      const verify::FailureSweepResult result = session->sweep(options);
+      metrics_.sweep_ms.record(result.sweep_ms);
+      metrics_.sweep_scenarios.inc(result.scenarios);
+      metrics_.sweep_pruned.inc(result.pruned_scenarios);
+      metrics_.sweep_replayed.inc(result.replayed_scenarios);
+      std::uint64_t diverged = 0;
+      for (const verify::ScenarioOutcome& out : result.outcomes) {
+        metrics_.sweep_scenario_ms.record(out.total_ms);
+        if (out.diverged) ++diverged;
+      }
+      metrics_.sweep_diverged.inc(diverged);
+      body = sweep_body(*session, result, req.sweep.detail);
+      break;
+    }
+    case Verb::kRelate: {
+      const config::NetworkConfig cfg = parse_config_text(req.config_text);
+      const relate::RelationalResult result = timed(metrics_.relate_ms, [&] {
+        return session->relate(cfg, req.relate.specs, req.relate.witnesses);
+      });
+      metrics_.relate_diff_ecs.inc(result.diff.ecs.size());
+      body = relate_body(*session, result, req.relate);
+      break;
+    }
+    case Verb::kOrder: {
+      std::vector<relate::UpdateStep> steps;
+      steps.reserve(req.order.steps.size());
+      for (const OrderStepSpec& s : req.order.steps) {
+        relate::UpdateStep step;
+        step.name = s.name;
+        step.patch = parse_config_text(s.config_text);
+        steps.push_back(std::move(step));
+      }
+      relate::OrderOptions options;
+      options.max_blocking = req.order.max_blocking;
+      const relate::OrderResult result =
+          timed(metrics_.order_ms, [&] { return session->order(steps, options); });
+      metrics_.order_steps_explored.inc(result.explored);
+      body = order_body(*session, result, steps, req.order.detail);
+      break;
+    }
+    case Verb::kStats:
+      body = stats_json();
+      break;
   }
+  return body;
 }
 
 json::Value Engine::stats_json() const {

@@ -49,6 +49,13 @@
 //   rebuilds, reclamation merges, backend migrations — the primary streams
 //   a snapshot resync (a fresh fork) instead. See DESIGN.md.
 //
+// Verbs: what the engine needs to know about each verb — its name, whether
+// it names a session, whether it is a replica read — comes from the verb
+// table in protocol.h (kVerbs): read routing, the per-verb request counters
+// and the response envelope all read it. The engine's one per-verb switch
+// (run_) does each verb's work and returns its body; one envelope adds "id"
+// and "session" and answers a verb's exception as "<verb>: <what>".
+//
 // Callbacks run on whichever thread produced the response: a worker thread
 // for queued requests, the submitting thread for immediate errors and
 // `stats`. `stats` first waits for all previously submitted requests to
@@ -181,17 +188,23 @@ class Engine {
     std::shared_ptr<const PolicySpec> policy;
     std::shared_ptr<const ::rcfg::explain::BatchRecord> record;
     unsigned install_lanes = 0;  ///< open only: fork this many lanes
+
+    /// Stream a converged apply of `applied` (propose, or abort's re-apply):
+    /// a replay of it with the batch's provenance record, or a snapshot
+    /// resync when the EC id space moved underneath (a reclamation merge or
+    /// a backend migration), which incremental replay cannot reproduce.
+    void replay(const Session& session, bool id_space_moved,
+                std::shared_ptr<const config::NetworkConfig> applied, bool staged);
   };
 
   void worker_loop_();
   void read_worker_loop_();
   void process_batch_(Slot& slot, std::vector<Pending> batch);
-  Response handle_(Slot& slot, const Request& req, ReplicaEffect& effect);
-  Response handle_open_(Slot& slot, const Request& req, ReplicaEffect& effect);
-  /// The read-only verbs (query/explain/relate), runnable against either
-  /// the primary or a replica Session.
-  Response handle_read_(const std::string& session_name, Session& session,
-                        const Request& req);
+  /// Run one verb and return its response body (the caller wraps it in
+  /// the response envelope); throws on failure. `slot` is null for stats
+  /// and on a replica lane, which runs only replica reads; `session` (the
+  /// primary or a lane's replica) is null for open and stats.
+  json::Value run_(Slot* slot, Session* session, const Request& req, ReplicaEffect& effect);
   void record_report_(Slot& slot, const verify::RealConfig::Report& report);
   /// Advance the slot's epoch and stream `effect` to every lane (plus lane
   /// installation / resync forks). Called by the primary worker after each

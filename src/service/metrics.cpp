@@ -89,21 +89,11 @@ json::Value Histogram::to_json() const {
 json::Value ServiceMetrics::to_json() const {
   json::Value out;
 
-  json::Value requests;
-  requests["total"] = json::Value(requests_total.value());
-  requests["errors"] = json::Value(errors_total.value());
-  requests["open"] = json::Value(opens.value());
-  requests["propose"] = json::Value(proposes.value());
-  requests["commit"] = json::Value(commits.value());
-  requests["abort"] = json::Value(aborts.value());
-  requests["add_policy"] = json::Value(add_policies.value());
-  requests["query"] = json::Value(queries.value());
-  requests["explain"] = json::Value(explains.value());
-  requests["sweep"] = json::Value(sweeps.value());
-  requests["relate"] = json::Value(relates.value());
-  requests["order"] = json::Value(orders.value());
-  requests["stats"] = json::Value(stats_calls.value());
-  out["requests"] = std::move(requests);
+  json::Value traffic;
+  traffic["total"] = json::Value(requests_total.value());
+  traffic["errors"] = json::Value(errors_total.value());
+  for (const VerbInfo& v : kVerbs) traffic[v.name] = json::Value(requests(v.verb).value());
+  out["requests"] = std::move(traffic);
 
   json::Value batching;
   batching["batches"] = json::Value(batches_total.value());

@@ -1,49 +1,43 @@
 #include "service/protocol.h"
 
+#include <algorithm>
 #include <limits>
+#include <type_traits>
 
 #include "topo/generators.h"
 
 namespace rcfg::service {
 
-const char* verb_name(Verb v) {
-  switch (v) {
-    case Verb::kOpen: return "open";
-    case Verb::kPropose: return "propose";
-    case Verb::kCommit: return "commit";
-    case Verb::kAbort: return "abort";
-    case Verb::kAddPolicy: return "add_policy";
-    case Verb::kQuery: return "query";
-    case Verb::kExplain: return "explain";
-    case Verb::kSweep: return "sweep";
-    case Verb::kRelate: return "relate";
-    case Verb::kOrder: return "order";
-    case Verb::kStats: return "stats";
-  }
-  return "?";
-}
-
 namespace {
 
 Verb parse_verb(const std::string& op) {
-  if (op == "open") return Verb::kOpen;
-  if (op == "propose") return Verb::kPropose;
-  if (op == "commit") return Verb::kCommit;
-  if (op == "abort") return Verb::kAbort;
-  if (op == "add_policy") return Verb::kAddPolicy;
-  if (op == "query") return Verb::kQuery;
-  if (op == "explain") return Verb::kExplain;
-  if (op == "sweep") return Verb::kSweep;
-  if (op == "relate") return Verb::kRelate;
-  if (op == "order") return Verb::kOrder;
-  if (op == "stats") return Verb::kStats;
+  for (const VerbInfo& v : kVerbs) {
+    if (op == v.name) return v.verb;
+  }
   throw ProtocolError("unknown op: '" + op + "'");
 }
 
-unsigned get_unsigned(const json::Value& obj, std::string_view key, unsigned fallback = 0) {
-  const std::int64_t v = obj.get_int(key, fallback);
+/// A non-negative integer field that must fit in T: a value T cannot hold
+/// is rejected, not truncated (2^32 + 1 must not pass a 1..6 check as 1).
+template <class T = unsigned>
+T get_unsigned(const json::Value& obj, std::string_view key,
+               std::type_identity_t<T> fallback = 0) {
+  const std::int64_t v = obj.get_int(key, static_cast<std::int64_t>(fallback));
   if (v < 0) throw ProtocolError("'" + std::string(key) + "' must be >= 0");
-  return static_cast<unsigned>(v);
+  if (static_cast<std::uint64_t>(v) > std::numeric_limits<T>::max()) {
+    throw ProtocolError("'" + std::string(key) + "' must be <= " +
+                        std::to_string(std::numeric_limits<T>::max()));
+  }
+  return static_cast<T>(v);
+}
+
+/// A "threads" field: 0 (or absent) means 1, at most kMaxThreads.
+unsigned get_threads(const json::Value& doc) {
+  const unsigned threads = get_unsigned(doc, "threads");
+  if (threads > kMaxThreads) {
+    throw ProtocolError("'threads' must be <= " + std::to_string(kMaxThreads));
+  }
+  return std::max(1u, threads);
 }
 
 TopologySpec parse_topology(const json::Value& v) {
@@ -92,18 +86,15 @@ SessionOptions parse_options(const json::Value& doc) {
   SessionOptions opts;
   const unsigned rounds = get_unsigned(doc, "max_rounds");
   if (rounds != 0) opts.verifier.generator.max_rounds = rounds;
-  const unsigned threads = get_unsigned(doc, "threads");
-  if (threads != 0) opts.verifier.threads = threads;
+  opts.verifier.threads = get_threads(doc);
   opts.trace = doc.get_bool("trace", false);
   opts.replicas = get_unsigned(doc, "replicas");
   if (opts.replicas > kMaxReplicas) {
     throw ProtocolError("'replicas' must be <= " + std::to_string(kMaxReplicas));
   }
   opts.verifier.reclamation.enabled = doc.get_bool("reclaim", false);
-  opts.verifier.reclamation.ec_watermark =
-      static_cast<std::size_t>(doc.get_int("ec_watermark", 0));
-  opts.verifier.reclamation.bdd_watermark =
-      static_cast<std::size_t>(doc.get_int("bdd_watermark", 0));
+  opts.verifier.reclamation.ec_watermark = get_unsigned<std::size_t>(doc, "ec_watermark");
+  opts.verifier.reclamation.bdd_watermark = get_unsigned<std::size_t>(doc, "bdd_watermark");
   const std::string order = doc.get_string("update_order");
   if (order == "insert_first" || order.empty()) {
     opts.verifier.update_order = dpm::UpdateOrder::kInsertFirst;
@@ -236,7 +227,7 @@ Request parse_request_doc(const json::Value& doc) {
   req.verb = parse_verb(doc.get_string("op"));
   req.session = doc.get_string("session");
 
-  if (req.verb != Verb::kStats && req.session.empty()) {
+  if (verb_info(req.verb).needs_session && req.session.empty()) {
     throw ProtocolError(std::string(verb_name(req.verb)) + " needs a 'session'");
   }
 
@@ -283,11 +274,10 @@ Request parse_request_doc(const json::Value& doc) {
       if (req.sweep.max_failures < 1 || req.sweep.max_failures > kMaxSweepFailures) {
         throw ProtocolError("'max_failures' must be between 1 and 6");
       }
-      req.sweep.budget = get_unsigned(doc, "budget", 0);
+      req.sweep.budget = get_unsigned<std::uint64_t>(doc, "budget");
       req.sweep.prune = doc.get_bool("prune", false);
       req.sweep.symmetry = doc.get_bool("symmetry", false);
-      req.sweep.threads = get_unsigned(doc, "threads", 1);
-      if (req.sweep.threads == 0) req.sweep.threads = 1;
+      req.sweep.threads = get_threads(doc);
       req.sweep.detail = doc.get_bool("detail", false);
       break;
     }

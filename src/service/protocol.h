@@ -11,8 +11,9 @@
 //                                           batch rule-update order (Table 3;
 //                                           default insert_first)
 //                 "threads":N               checker worker-pool width
-//                                           (default 1); reports are identical
-//                                           for any value — only latency moves
+//                                           (default 1, at most 64); reports
+//                                           are identical for any value —
+//                                           only latency moves
 //                 "trace":true              record per-batch provenance for
 //                                           `explain` (pay-as-you-go: without
 //                                           it, batches record nothing)
@@ -59,8 +60,9 @@
 //               orbits and replays the representative's outcome; "budget"
 //               caps the scenarios verified on replicas, spending them in
 //               priority order (coverage reports the shortfall); "threads"
-//               shards scenarios over that many replicas; "detail" includes
-//               the per-scenario outcome array.
+//               (at most 64) shards scenarios over that many replicas;
+//               "detail" includes the per-scenario outcome array.
+//               Integer fields reject values their type cannot hold.
 //   relate      {"session", "config", ["specs":[{"kind":"none"|
 //                "only_dst_in"|"only_src_in", ["prefixes":[CIDR,...]],
 //                ["name"]}]], ["witnesses":true], ["detail":true]}
@@ -88,7 +90,9 @@
 // {"id":N,"ok":false,"error":"..."}. A propose superseded by coalescing
 // answers {"ok":true,"status":"coalesced","superseded_by":M}.
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -120,7 +124,44 @@ enum class Verb : std::uint8_t {
   kStats,
 };
 
-const char* verb_name(Verb v);
+/// What the service needs to know about a verb besides its fields (which
+/// parse_request_doc reads) and its work (which the engine runs).
+struct VerbInfo {
+  Verb verb;
+  const char* name;    ///< the "op" on the wire, and its `stats` requests key
+  bool needs_session;  ///< the request must name a session; every verb but stats
+  bool replica_read;   ///< read-only: may be answered by a replica lane
+};
+
+/// The verb table, indexed by Verb. Everything that would otherwise list
+/// the verbs (name lookup, session check, read routing, per-verb request
+/// counters) reads it.
+inline constexpr VerbInfo kVerbs[] = {
+    {Verb::kOpen, "open", true, false},
+    {Verb::kPropose, "propose", true, false},
+    {Verb::kCommit, "commit", true, false},
+    {Verb::kAbort, "abort", true, false},
+    {Verb::kAddPolicy, "add_policy", true, false},
+    {Verb::kQuery, "query", true, true},
+    {Verb::kExplain, "explain", true, true},
+    {Verb::kSweep, "sweep", true, false},
+    {Verb::kRelate, "relate", true, true},
+    {Verb::kOrder, "order", true, false},
+    {Verb::kStats, "stats", false, false},
+};
+inline constexpr std::size_t kVerbCount = std::size(kVerbs);
+
+constexpr const VerbInfo& verb_info(Verb v) { return kVerbs[static_cast<std::size_t>(v)]; }
+constexpr const char* verb_name(Verb v) { return verb_info(v).name; }
+
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kVerbCount; ++i) {
+        if (static_cast<std::size_t>(kVerbs[i].verb) != i) return false;
+      }
+      return kVerbCount == static_cast<std::size_t>(Verb::kStats) + 1;
+    }(),
+    "kVerbs must list every Verb, in enum order");
 
 /// How to construct a session's topology. Kinds: "fat_tree" (param k),
 /// "ring" / "full_mesh" (param n), "grid" (params w, h).
@@ -171,6 +212,11 @@ struct OrderSpec {
 
 /// Upper bound on per-session read replicas (open's "replicas" option).
 inline constexpr unsigned kMaxReplicas = 16;
+
+/// Upper bound on the worker threads one request may ask for (open's
+/// checker pool, sweep's replica lanes); each sweep lane forks a whole
+/// verifier.
+inline constexpr unsigned kMaxThreads = 64;
 
 struct Request {
   std::uint64_t id = 0;

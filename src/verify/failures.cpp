@@ -173,7 +173,9 @@ FailureSweepResult sweep_failures(RealConfig& rc, const config::NetworkConfig& h
   std::vector<ScenarioOutcome> outcomes(scens.size());
   std::vector<std::vector<Pair>> scenario_lost(scens.size());
 
-  const unsigned threads = std::max(1u, options.threads);
+  // No more lanes than scenarios: every lane forks a whole verifier.
+  const unsigned threads = static_cast<unsigned>(
+      std::max<std::size_t>(1, std::min<std::size_t>(options.threads, scens.size())));
   core::WorkerPool pool(threads);
   pool.run(threads, [&](std::size_t lane) {
     auto replica = rc.fork(*snap);

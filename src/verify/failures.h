@@ -123,7 +123,7 @@ struct FailureSweepOptions {
   /// Worker-pool width. Each worker forks its own full replica from the
   /// healthy snapshot, so workers share no mutable state; results are
   /// bit-identical for every value (scenario slots are keyed by index and
-  /// merged in order on the caller).
+  /// merged in order on the caller). Never more workers than scenarios.
   unsigned threads = 1;
 };
 

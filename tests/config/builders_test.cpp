@@ -210,7 +210,9 @@ TEST(ChurnProfiles, IspExtraPrefixesDisjointFromAddressPlan) {
     EXPECT_EQ(extra.length(), 24);
     for (topo::NodeId m = 0; m < 200; ++m) {
       EXPECT_FALSE(extra.overlaps(host_prefix(m)));
-      if (m != n) EXPECT_FALSE(extra == isp_extra_prefix(m));
+      if (m != n) {
+        EXPECT_FALSE(extra == isp_extra_prefix(m));
+      }
     }
     for (topo::LinkId l = 0; l < 200; ++l) {
       EXPECT_FALSE(extra.overlaps(link_subnet(l)));
@@ -271,8 +273,12 @@ TEST(ChurnProfiles, CampusStepsAttachMultiFieldAcls) {
     acls += dev.acls.size();
     // Every binding must reference an ACL that exists on the device.
     for (const auto& i : dev.interfaces) {
-      if (i.acl_in) EXPECT_TRUE(dev.acls.contains(*i.acl_in)) << name;
-      if (i.acl_out) EXPECT_TRUE(dev.acls.contains(*i.acl_out)) << name;
+      if (i.acl_in) {
+        EXPECT_TRUE(dev.acls.contains(*i.acl_in)) << name;
+      }
+      if (i.acl_out) {
+        EXPECT_TRUE(dev.acls.contains(*i.acl_out)) << name;
+      }
     }
   }
   EXPECT_GT(acls, 0u) << "10 campus steps attached no ACL";

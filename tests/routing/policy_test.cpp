@@ -72,7 +72,9 @@ TEST(ApplyPolicy, MatchesUncompiledSemantics) {
     const auto a = apply_policy(p, pfx(s), RouteAttrs{});
     const auto b = config::apply_route_map(rm, dev, pfx(s), RouteAttrs{});
     EXPECT_EQ(a.has_value(), b.has_value()) << s;
-    if (a && b) EXPECT_EQ(*a, *b) << s;
+    if (a && b) {
+      EXPECT_EQ(*a, *b) << s;
+    }
   }
 }
 
@@ -118,7 +120,9 @@ TEST(ApplyPolicyProperty, RandomPoliciesAgree) {
       const auto a = apply_policy(p, route, in);
       const auto b = config::apply_route_map(rm, dev, route, in);
       ASSERT_EQ(a.has_value(), b.has_value()) << route.to_string();
-      if (a) ASSERT_EQ(*a, *b) << route.to_string();
+      if (a) {
+        ASSERT_EQ(*a, *b) << route.to_string();
+      }
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -378,7 +379,7 @@ TEST(Engine, SweepVerbMinesCriticalLinksAndViolations) {
   bad.sweep.links = {99};
   EXPECT_FALSE(engine.call(std::move(bad)).ok);
 
-  EXPECT_EQ(engine.metrics().sweeps.value(), 3u);
+  EXPECT_EQ(engine.metrics().requests(Verb::kSweep).value(), 3u);
   EXPECT_EQ(engine.metrics().sweep_scenarios.value(), 3u);
   EXPECT_EQ(engine.metrics().sweep_diverged.value(), 0u);
 }
@@ -540,6 +541,179 @@ TEST(Engine, SweepVerbSurvivesDivergentScenarios) {
   const Response q = engine.call(verb_request(5, "net", Verb::kQuery));
   ASSERT_TRUE(q.ok);
   EXPECT_EQ(q.body.get_int("rebuilds"), 0);
+}
+
+/// The top-level keys of a response as it goes on the wire, sorted.
+std::string keys_of(const Response& r) {
+  const json::Value wire = response_value(r);
+  std::string out;
+  for (const auto& entry : wire.as_object()) {
+    if (!out.empty()) out += ',';
+    out += entry.first;
+  }
+  return out;
+}
+
+/// One request line: {"id":id,"op":op,"session":session,<fields>}.
+std::string request_line(std::uint64_t id, const char* op, const std::string& session,
+                         json::Value::Object fields = {}) {
+  fields["id"] = json::Value(id);
+  fields["op"] = json::Value(op);
+  if (!session.empty()) fields["session"] = json::Value(session);
+  return json::Value(std::move(fields)).dump();
+}
+
+/// Request fields for a 3-node OSPF chain whose policy "p" (n0-0 -> n2-0)
+/// a cut of link 0 breaks: enough for every verb to report something.
+struct Chain {
+  json::Value grid, healthy, cut, policy, step;
+
+  Chain() {
+    const topo::Topology t = topo::make_grid(3, 1);
+    const config::NetworkConfig cfg = config::build_ospf_network(t);
+    config::NetworkConfig cut_cfg = cfg;
+    config::fail_link(cut_cfg, t, 0);
+    config::NetworkConfig patch;  // an order step: n1-0 as it already is
+    patch.devices["n1-0"] = cfg.devices.at("n1-0");
+    grid["kind"] = json::Value("grid");
+    grid["w"] = json::Value(3);
+    grid["h"] = json::Value(1);
+    healthy = json::Value(config::print_network(cfg));
+    cut = json::Value(config::print_network(cut_cfg));
+    policy["name"] = json::Value("p");
+    policy["src"] = json::Value("n0-0");
+    policy["dst"] = json::Value("n2-0");
+    policy["prefix"] = json::Value(config::host_prefix(t.find_node("n2-0")).to_string());
+    step["name"] = json::Value("n1");
+    step["config"] = json::Value(config::print_network(patch));
+  }
+};
+
+TEST(Engine, ResponseKeysPerVerb) {
+  // Pins the wire shape of every verb's response: its top-level keys
+  // (detail:true bodies included, on the primary and on a replica lane)
+  // and the exact text of the envelope's error paths.
+  const Chain chain;
+  json::Value none_spec;
+  none_spec["kind"] = json::Value("none");
+
+  Engine engine;
+  const auto call = [&](const std::string& line) {
+    const Response r = engine.call(parse_request(line));
+    EXPECT_TRUE(r.ok) << line << " -> " << r.error;
+    return keys_of(r);
+  };
+  const auto fail = [&](const std::string& line) {
+    const Response r = engine.call(parse_request(line));
+    EXPECT_FALSE(r.ok) << line;
+    EXPECT_EQ(keys_of(r), "error,id,ok");
+    return r.error;
+  };
+
+  const std::string report =
+      "affected_ecs,affected_pairs,bdd_nodes,changed_pairs,check_ms,ec_count,events,"
+      "fib_changes,filter_changes,generate_ms,";
+  const std::string summary =
+      "blackholes,ecs,generation,id,loops,ok,pairs,policies,rebuilds,session,staged";
+  const std::string explained =
+      "branches,cause,id,kind,ok,policy,satisfied,session,trace_enabled,witness";
+
+  for (const std::string name : {"net", "rep"}) {
+    json::Value::Object open{
+        {"topology", chain.grid}, {"config", chain.healthy}, {"trace", json::Value(true)}};
+    if (name == "rep") open["replicas"] = json::Value(1);
+    EXPECT_EQ(call(request_line(1, "open", name, open)),
+              "affected_ecs,affected_pairs,bdd_nodes,changed_pairs,check_ms,ec_count,ecs,events,"
+              "fib_changes,filter_changes,generate_ms,id,links,model_ms,nodes,ok,pairs,rules,"
+              "session,status,total_ms");
+    EXPECT_EQ(call(request_line(2, "add_policy", name, {{"policy", chain.policy}})),
+              "id,ok,policy,satisfied,session,status");
+    EXPECT_EQ(call(request_line(3, "query", name)), summary);
+    EXPECT_EQ(call(request_line(4, "query", name, {{"policy", json::Value("p")}})),
+              "id,ok,policy,satisfied,session");
+    EXPECT_EQ(call(request_line(5, "propose", name, {{"config", chain.cut}})),
+              report + "id,model_ms,ok,session,status,total_ms");
+    EXPECT_EQ(call(request_line(6, "explain", name)), explained);
+    EXPECT_EQ(call(request_line(7, "explain", name, {{"policy", json::Value("p")}})),
+              explained);
+    EXPECT_EQ(call(request_line(8, "sweep", name, {{"detail", json::Value(true)}})),
+              "coverage,critical_links,diverged_links,diverged_scenarios,explored_scenarios,"
+              "fault_tolerant_pairs,healthy_pairs,id,loop_links,ok,outcomes,policy_violations,"
+              "pruned_scenarios,replayed_scenarios,scenarios,session,snapshot_ms,sweep_ms,"
+              "total_scenarios");
+    EXPECT_EQ(call(request_line(9, "relate", name,
+                                {{"config", chain.healthy},
+                                 {"specs", json::Value(json::Value::Array{none_spec})},
+                                 {"detail", json::Value(true)}})),
+              "apply_ms,devices_diverged,diff,diff_ms,ecs_changed,ecs_compared,fork_ms,holds,"
+              "id,ok,pairs_gained,pairs_lost,relate_ms,session,snapshot_ms,violations");
+    EXPECT_EQ(call(request_line(10, "order", name,
+                                {{"steps", json::Value(json::Value::Array{chain.step})},
+                                 {"detail", json::Value(true)}})),
+              "blocking,blocking_minimal,explored,found,id,ok,order,order_ms,restores,"
+              "search_ms,session,snapshot_ms,steps");
+    EXPECT_EQ(call(request_line(11, "abort", name)), "id,ok,rollback_ms,session,status");
+    EXPECT_EQ(call(request_line(12, "propose", name, {{"config", chain.cut}})),
+              report + "id,model_ms,ok,session,status,total_ms");
+    EXPECT_EQ(call(request_line(13, "commit", name)), "id,ok,session,status");
+
+    EXPECT_EQ(fail(request_line(14, "open", name, open)),
+              "session already open: '" + name + "'");
+    EXPECT_EQ(fail(request_line(15, "commit", name)),
+              "commit: session '" + name + "': commit with no staged proposal");
+    EXPECT_EQ(fail(request_line(16, "sweep", name,
+                                {{"links", json::Value(json::Value::Array{json::Value(99)})}})),
+              "sweep: link id 99 out of range");
+    EXPECT_EQ(fail(request_line(17, "explain", name, {{"policy", json::Value("nope")}})),
+              "explain: unknown policy: nope");
+  }
+  EXPECT_EQ(fail(request_line(18, "query", "ghost")), "unknown session: 'ghost'");
+  EXPECT_EQ(call(request_line(19, "stats", "")), "id,metrics,ok,sessions");
+  EXPECT_GT(engine.metrics().replica_queries.value(), 0u);
+}
+
+TEST(Engine, EveryVerbCountsOnlyItself) {
+  const Chain chain;
+  const std::vector<std::pair<Verb, std::string>> script = {
+      {Verb::kOpen, request_line(1, "open", "net",
+                                 {{"topology", chain.grid}, {"config", chain.healthy}})},
+      {Verb::kAddPolicy, request_line(2, "add_policy", "net", {{"policy", chain.policy}})},
+      {Verb::kPropose, request_line(3, "propose", "net", {{"config", chain.cut}})},
+      {Verb::kQuery, request_line(4, "query", "net")},
+      {Verb::kExplain, request_line(5, "explain", "net")},
+      {Verb::kSweep, request_line(6, "sweep", "net")},
+      {Verb::kRelate, request_line(7, "relate", "net", {{"config", chain.healthy}})},
+      {Verb::kOrder, request_line(8, "order", "net",
+                                  {{"steps", json::Value(json::Value::Array{chain.step})}})},
+      {Verb::kAbort, request_line(9, "abort", "net")},
+      {Verb::kCommit, request_line(10, "commit", "net")},
+      {Verb::kStats, request_line(11, "stats", "")},
+  };
+  ASSERT_EQ(script.size(), kVerbCount);
+
+  Engine engine;
+  const auto counts = [&] {
+    return *engine.call(parse_request(request_line(0, "stats", "")))
+                .body.find("metrics")
+                ->find("requests");
+  };
+  std::set<Verb> seen;
+  for (const auto& [verb, line] : script) {
+    EXPECT_TRUE(seen.insert(verb).second);
+    const json::Value before = counts();
+    engine.call(parse_request(line));
+    const json::Value after = counts();
+    ASSERT_EQ(after.as_object().size(), kVerbCount + 2);  // + total, errors
+    for (const VerbInfo& v : kVerbs) {
+      // The stats calls that read the counters count themselves.
+      const std::int64_t expected = (v.verb == verb) + (v.verb == Verb::kStats);
+      EXPECT_EQ(after.get_int(v.name) - before.get_int(v.name), expected)
+          << "after " << verb_name(verb) << ": requests." << v.name;
+    }
+    EXPECT_EQ(after.get_int("total") - before.get_int("total"), 2);
+    EXPECT_EQ(engine.metrics().requests(verb).value(),
+              static_cast<std::uint64_t>(after.get_int(verb_name(verb))));
+  }
 }
 
 }  // namespace

@@ -78,7 +78,7 @@ TEST(Metrics, LatencyBucketsReachPaperScaleOpens) {
 TEST(Metrics, ServiceMetricsJsonShape) {
   ServiceMetrics m;
   m.requests_total.inc(5);
-  m.proposes.inc(3);
+  m.requests(Verb::kPropose).inc(3);
   m.coalesced_batches.inc();
   m.generate_ms.record(1.5);
   m.queue_depth.add(2);

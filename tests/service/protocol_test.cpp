@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -106,9 +107,56 @@ TEST(Protocol, RejectsBadSweepRequests) {
       ProtocolError);
   // The largest representable id still parses (the engine range-checks it
   // against the topology).
-  const Request r = parse_request(
+  Request r = parse_request(
       R"({"id":5,"op":"sweep","session":"s","links":[4294967295]})");
   EXPECT_EQ(r.sweep.links, (std::vector<topo::LinkId>{4294967295u}));
+
+  // Integer fields must not truncate to 32 bits: 2^32 + 1 is not 1 (which
+  // would pass the 1..6 check), and a 2^32 budget is not 0 (unbounded).
+  EXPECT_THROW(
+      parse_request(R"({"id":6,"op":"sweep","session":"s","max_failures":4294967297})"),
+      ProtocolError);
+  r = parse_request(R"({"id":7,"op":"sweep","session":"s","budget":4294967296})");
+  EXPECT_EQ(r.sweep.budget, 4294967296u);
+  // Each sweep lane forks a whole verifier: "threads" is capped.
+  EXPECT_THROW(parse_request(R"({"id":8,"op":"sweep","session":"s","threads":100000})"),
+               ProtocolError);
+  EXPECT_THROW(
+      parse_request(R"({"id":9,"op":"sweep","session":"s","threads":4294967297})"),
+      ProtocolError);
+  r = parse_request(R"({"id":10,"op":"sweep","session":"s","threads":64})");
+  EXPECT_EQ(r.sweep.threads, kMaxThreads);
+  r = parse_request(R"({"id":11,"op":"sweep","session":"s","threads":0})");
+  EXPECT_EQ(r.sweep.threads, 1u);
+}
+
+TEST(Protocol, EveryVerbRoundTripsThroughItsName) {
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < kVerbCount; ++i) {
+    const Verb v = static_cast<Verb>(i);
+    EXPECT_EQ(verb_info(v).verb, v);
+    const std::string name = verb_name(v);
+    EXPECT_TRUE(names.insert(name).second) << "duplicate verb name " << name;
+    // Only the verb's wire name and a session: parsing may then reject the
+    // request for a missing field, but it must name this verb.
+    json::Value doc;
+    doc["op"] = json::Value(name);
+    doc["session"] = json::Value("s");
+    try {
+      EXPECT_EQ(parse_request_doc(doc).verb, v) << name;
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(name + " needs", 0), 0u) << e.what();
+    }
+    // Every verb but stats must name a session.
+    doc = json::Value();
+    doc["op"] = json::Value(name);
+    if (verb_info(v).needs_session) {
+      EXPECT_THROW(parse_request_doc(doc), ProtocolError) << name;
+    } else {
+      EXPECT_EQ(parse_request_doc(doc).verb, v) << name;
+    }
+  }
+  EXPECT_EQ(names.size(), kVerbCount);
 }
 
 TEST(Protocol, ParsesRelateRequests) {
@@ -213,6 +261,15 @@ TEST(Protocol, RejectsMalformedRequests) {
   EXPECT_THROW(parse_request(R"({"op":"sweep","session":"s","links":[-1]})"), ProtocolError);
   EXPECT_THROW(parse_request(R"({"op":"sweep","session":"s","max_failures":9})"),
                ProtocolError);  // deep spaces cap at kMaxSweepFailures
+
+  // open's checker pool is capped like sweep's lanes; negative or
+  // out-of-range integers are rejected, not cast.
+  const std::string open =
+      R"({"op":"open","session":"s","topology":{"kind":"ring","n":4},"config":"x",)";
+  EXPECT_THROW(parse_request(open + R"("threads":65})"), ProtocolError);
+  EXPECT_THROW(parse_request(open + R"("threads":4294967297})"), ProtocolError);
+  EXPECT_EQ(parse_request(open + R"("threads":64})").options.verifier.threads, kMaxThreads);
+  EXPECT_THROW(parse_request(open + R"("ec_watermark":-1})"), ProtocolError);
 }
 
 TEST(Protocol, BuildTopologyKinds) {

@@ -297,6 +297,11 @@ TEST(Replica, ParseRejectsMoreThanMaxReplicas) {
       R"({"id":1,"op":"open","session":"s","topology":{"kind":"ring","n":4},)"
       R"("config":"x","replicas":17})";
   EXPECT_THROW(parse_request(line), ProtocolError);
+  // 2^32 + 16 must not truncate to 16 and slip under the cap.
+  const std::string wrapped_line =
+      R"({"id":1,"op":"open","session":"s","topology":{"kind":"ring","n":4},)"
+      R"("config":"x","replicas":4294967312})";
+  EXPECT_THROW(parse_request(wrapped_line), ProtocolError);
   const std::string ok_line =
       R"({"id":1,"op":"open","session":"s","topology":{"kind":"ring","n":4},)"
       R"("config":"x","replicas":16})";

@@ -141,7 +141,9 @@ TEST(FailureSweep, DivergentScenarioIsRecordedNotFatal) {
   ASSERT_EQ(r.outcomes.size(), t.link_count());
   for (const ScenarioOutcome& out : r.outcomes) {
     EXPECT_EQ(out.diverged, out.scenario.links.front() == bad);
-    if (!out.diverged) EXPECT_EQ(out.reachable_pairs, r.healthy_pairs.size() - out.pairs_lost);
+    if (!out.diverged) {
+      EXPECT_EQ(out.reachable_pairs, r.healthy_pairs.size() - out.pairs_lost);
+    }
   }
 
   // The sweep must not leave the verifier poisoned.
