@@ -9,7 +9,9 @@
 //     the exhaustive max_failures=2 sweep — identical policy_violations,
 //     identical outcomes for every explored scenario, empty violation sets
 //     on every scenario the pruner skipped, and exact accounting
-//     (explored + replayed + pruned == total, coverage == 1).
+//     (explored + replayed + pruned == total, coverage == 1). The three
+//     sweeps run on 4, 3 and 2 lanes: a sweep's report is bit-identical
+//     for any lane count, so the comparison checks that too.
 //   * headline (recorded): fat-tree k=12 (paper scale: 180 nodes / 864
 //     links, ~1.07e8 scenarios at max_failures=3), OSPF, four reachability
 //     policies concentrated in pods 0-2, single core. Prune + symmetry +
@@ -108,14 +110,17 @@ bool parity_check() {
 
   verify::FailureSweepOptions exhaustive;
   exhaustive.max_failures = 2;
+  exhaustive.threads = 4;
   const verify::FailureSweepResult full = sweep_failures(rc, base, exhaustive);
 
   verify::FailureSweepOptions with_prune = exhaustive;
   with_prune.prune = true;
+  with_prune.threads = 3;
   const verify::FailureSweepResult pruned = sweep_failures(rc, base, with_prune);
 
   verify::FailureSweepOptions with_symmetry = with_prune;
   with_symmetry.symmetry = true;
+  with_symmetry.threads = 2;
   const verify::FailureSweepResult sym = sweep_failures(rc, base, with_symmetry);
 
   bool ok = true;
@@ -157,8 +162,9 @@ bool parity_check() {
     std::fprintf(stderr, "FAIL: pod symmetry replayed nothing on a symmetric fat-tree\n");
     ok = false;
   }
-  std::printf("parity (fat-tree k=4, max_failures=2): total %llu, exhaustive explored "
-              "%llu, pruned explored %llu, symmetry explored %llu + replayed %llu%s\n\n",
+  std::printf("parity (fat-tree k=4, max_failures=2, 4/3/2 lanes): total %llu, exhaustive "
+              "explored %llu, pruned explored %llu, symmetry explored %llu + replayed "
+              "%llu%s\n\n",
               static_cast<unsigned long long>(full.total_scenarios),
               static_cast<unsigned long long>(full.explored_scenarios),
               static_cast<unsigned long long>(pruned.explored_scenarios),

@@ -12,8 +12,8 @@ void Graph::commit() {
   commit_flush_counter_ = 0;
   recurrence_.assign(ops_.size(), RecurrenceState{});
 
-  // On divergence the graph's operator state is partially updated and the
-  // instance must be discarded; make sure bookkeeping reflects that.
+  // On divergence operators are left half flushed, pending inputs included,
+  // until restore() overwrites them; keep the bookkeeping consistent.
   struct CommitGuard {
     Graph& graph;
     ~CommitGuard() {

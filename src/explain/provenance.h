@@ -40,9 +40,8 @@ struct StageSpans {
 
 /// Everything one change batch did, end to end.
 struct BatchRecord {
-  std::uint64_t seq = 0;       ///< log-assigned, monotonically increasing
-  std::size_t generation = 0;  ///< verifier instance that ran the batch
-  std::string label;           ///< "open" | "propose" | "abort"
+  std::uint64_t seq = 0;  ///< log-assigned, monotonically increasing
+  std::string label;      ///< "open" | "propose" | "abort" | "recover"
 
   config::NetworkConfig old_config;  ///< before the batch
   config::NetworkConfig new_config;  ///< after the batch

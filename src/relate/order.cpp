@@ -117,7 +117,7 @@ OrderResult UpdateOrderSynthesizer::synthesize(const std::vector<UpdateStep>& st
       verdict.affected_ecs = report.check.affected_ecs.size();
       verdict.apply_ms = report.total_ms();
     } catch (const dd::NonterminationError&) {
-      verdict.converged = false;  // replica poisoned; the next restore recovers it
+      verdict.converged = false;  // the diverged apply left the replica unchanged
       return false;
     }
     for (const verify::PolicyId id : watched) {

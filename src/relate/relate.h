@@ -125,8 +125,7 @@ class RelationalChecker {
 
   /// Diff the proposed configuration against the base state and evaluate
   /// `specs`. Throws dd::NonterminationError when the proposal does not
-  /// converge (the base is untouched either way) and std::logic_error when
-  /// the base is poisoned.
+  /// converge (the base is untouched either way).
   RelationalResult check(const config::NetworkConfig& proposed,
                          const std::vector<RelationalSpec>& specs = {},
                          bool witnesses = true);

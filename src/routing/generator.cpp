@@ -175,6 +175,7 @@ IncrementalGenerator::IncrementalGenerator(const topo::Topology& topo, Generator
     : topo_(topo), options_(options) {
   if (options_.max_rounds < 2) options_.max_rounds = 2;
   build_program();
+  empty_ = graph_.snapshot();
 }
 
 void IncrementalGenerator::build_program() {
@@ -296,10 +297,7 @@ void IncrementalGenerator::build_program() {
 
 void IncrementalGenerator::set_provenance(bool on) {
   provenance_ = on;
-  if (!on) {
-    prev_facts_.reset();
-    changed_devices_.clear();
-  }
+  if (!on) changed_devices_.clear();
 }
 
 namespace {
@@ -319,8 +317,8 @@ void changed_endpoints(const dd::ZSet<T>& now, const dd::ZSet<T>& before, Fn end
 
 void IncrementalGenerator::record_changed_devices_(const FactSnapshot& facts) {
   changed_devices_.clear();
-  if (prev_facts_ != nullptr) {
-    const FactSnapshot& prev = *prev_facts_;
+  if (facts_ != nullptr) {
+    const FactSnapshot& prev = *facts_;
     auto node = [](const auto& f, std::vector<topo::NodeId>& out) { out.push_back(f.node); };
     auto edge = [](const auto& f, std::vector<topo::NodeId>& out) {
       out.push_back(f.from);
@@ -340,33 +338,20 @@ void IncrementalGenerator::record_changed_devices_(const FactSnapshot& facts) {
     changed_devices_.erase(std::unique(changed_devices_.begin(), changed_devices_.end()),
                            changed_devices_.end());
   }
-  prev_facts_ = std::make_unique<FactSnapshot>(facts);
 }
 
 IncrementalGenerator::Snapshot IncrementalGenerator::snapshot() const {
-  Snapshot snap;
-  snap.graph = graph_.snapshot();
-  snap.filters = filters_;
-  if (provenance_ && prev_facts_ != nullptr) {
-    snap.prev_facts = std::make_shared<const FactSnapshot>(*prev_facts_);
-  }
-  return snap;
+  return Snapshot{graph_.snapshot(), filters_, facts_};
 }
 
 void IncrementalGenerator::restore(const Snapshot& snap) {
   graph_.restore(snap.graph);
   filters_ = snap.filters;
+  facts_ = snap.facts;
   changed_devices_.clear();
-  if (provenance_ && snap.prev_facts != nullptr) {
-    prev_facts_ = std::make_unique<FactSnapshot>(*snap.prev_facts);
-  } else {
-    prev_facts_.reset();
-  }
 }
 
-DataPlaneDelta IncrementalGenerator::apply(const config::NetworkConfig& cfg) {
-  const FactSnapshot facts = compile_facts(topo_, cfg);
-  if (provenance_) record_changed_devices_(facts);
+void IncrementalGenerator::load_(const FactSnapshot& facts) {
   in_ospf_links_->set_to(facts.ospf_links);
   in_ospf_origins_->set_to(facts.ospf_origins);
   in_bgp_sessions_->set_to(facts.bgp_sessions);
@@ -377,21 +362,48 @@ DataPlaneDelta IncrementalGenerator::apply(const config::NetworkConfig& cfg) {
   in_redist_->set_to(facts.redist);
   in_statics_->set_to(facts.statics);
   in_connected_->set_to(facts.connected);
-
   graph_.commit();
+}
 
+bool IncrementalGenerator::converged_() {
   // Keep the sinks' delta accumulators from growing unboundedly.
   (void)ospf_conv_->take_delta();
   (void)bgp_conv_->take_delta();
   (void)rip_conv_->take_delta();
+  return ospf_conv_->current().empty() && bgp_conv_->current().empty() &&
+         rip_conv_->current().empty();
+}
 
-  if (!ospf_conv_->current().empty() || !bgp_conv_->current().empty() ||
-      !rip_conv_->current().empty()) {
+void IncrementalGenerator::revert_(bool commit_threw) {
+  static const FactSnapshot kNoFacts;
+  if (commit_threw) graph_.restore(empty_);
+  load_(facts_ != nullptr ? *facts_ : kNoFacts);
+  (void)converged_();
+  (void)fib_out_->take_delta();
+}
+
+DataPlaneDelta IncrementalGenerator::apply(const config::NetworkConfig& cfg) {
+  auto facts = std::make_shared<const FactSnapshot>(compile_facts(topo_, cfg));
+  // The program's fixpoint is a function of its inputs alone (its only
+  // feedback edges, redistribution of native routes and aggregation into
+  // strictly wider prefixes, cannot sustain a route by themselves), so
+  // committing the last converged facts again returns every operator to
+  // the state it held before this call, in O(change).
+  try {
+    load_(*facts);
+  } catch (const dd::NonterminationError&) {
+    revert_(true);
+    throw;
+  }
+  if (!converged_()) {
+    revert_(false);
     throw dd::NonterminationError(
         "route computation did not converge within " + std::to_string(options_.max_rounds) +
         " rounds: either raise GeneratorOptions::max_rounds (long minimal paths) or the "
         "control plane oscillates with no stable state (paper §6, e.g. a BGP dispute wheel)");
   }
+  if (provenance_) record_changed_devices_(*facts);
+  facts_ = std::move(facts);
 
   DataPlaneDelta delta;
   delta.fib = fib_out_->take_delta();

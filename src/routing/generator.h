@@ -26,7 +26,10 @@
 // checked by comparing the last two stages; a difference means either
 // max_rounds is too small for the network's diameter/metric structure
 // (increase it) or the control plane genuinely oscillates (paper §6) —
-// both reported as NonterminationError.
+// both reported as NonterminationError. A diverged apply() re-loads the
+// last converged facts before it throws, so the generator is left exactly
+// as it was: the paper's "discard and restart" becomes one more
+// incremental commit.
 
 #include <cstdint>
 #include <memory>
@@ -67,7 +70,8 @@ class IncrementalGenerator {
   /// Load a configuration (the first call computes from scratch; later
   /// calls re-converge incrementally) and return the data plane delta.
   /// Throws dd::NonterminationError when the route computation has not
-  /// converged within max_rounds (see header comment).
+  /// converged within max_rounds (see header comment); the generator then
+  /// holds the state of its last converged apply() again.
   DataPlaneDelta apply(const config::NetworkConfig& cfg);
 
   /// Current converged state.
@@ -81,30 +85,29 @@ class IncrementalGenerator {
   unsigned max_rounds() const { return options_.max_rounds; }
 
   /// Checkpoint of the generator's converged state: every dataflow
-  /// operator's state plus the directly diffed filter relation (and, when
-  /// provenance is on, the previous fact snapshot). Restorable into this
-  /// generator or any generator built over the same topology and options —
-  /// build_program() is deterministic, so operator positions line up.
+  /// operator's state, the directly diffed filter relation and the facts
+  /// that state was converged on (shared, never copied). Restorable into
+  /// this generator or any generator built over the same topology and
+  /// options — build_program() is deterministic, so operator positions
+  /// line up.
   struct Snapshot {
     dd::GraphSnapshot graph;
     dd::ZSet<FilterRule> filters;
-    std::shared_ptr<const FactSnapshot> prev_facts;  ///< null when provenance off
+    std::shared_ptr<const FactSnapshot> facts;  ///< null before the first apply()
   };
 
-  /// Requires a quiescent graph (apply() either finished or threw with the
-  /// commit unwound); throws std::logic_error otherwise.
+  /// Requires a quiescent graph (always true between apply() calls);
+  /// throws std::logic_error otherwise.
   Snapshot snapshot() const;
 
-  /// Restore converged state from `snap`. Also recovers a generator whose
-  /// last apply() diverged — the partially flushed operator state is
-  /// overwritten wholesale. Tuning knobs (budgets) are not part of the
-  /// snapshot and keep their current values.
+  /// Restore converged state from `snap`. Tuning knobs (budgets) are not
+  /// part of the snapshot and keep their current values.
   void restore(const Snapshot& snap);
 
-  // --- provenance (pay-as-you-go: nothing is retained until enabled) ------
-  /// When on, apply() keeps the previous fact snapshot and records which
-  /// devices' compiled facts changed — the fact-level origin of the rule
-  /// delta, used by the explain layer to tie ops back to config edits.
+  // --- provenance (pay-as-you-go: nothing is computed until enabled) ------
+  /// When on, apply() records which devices' compiled facts changed since
+  /// the last converged apply() — the fact-level origin of the rule delta,
+  /// used by the explain layer to tie ops back to config edits.
   void set_provenance(bool on);
   bool provenance() const noexcept { return provenance_; }
   /// Devices whose facts changed in the last apply() (sorted, unique).
@@ -116,13 +119,24 @@ class IncrementalGenerator {
  private:
   void build_program();
   void record_changed_devices_(const FactSnapshot& facts);
+  /// Stage `facts` on the input relations and commit.
+  void load_(const FactSnapshot& facts);
+  /// Drain the convergence sinks; true when the last commit converged.
+  bool converged_();
+  /// Undo a diverged commit: re-load the last converged facts — after
+  /// restoring the empty program when commit() itself threw, since that
+  /// leaves operators half flushed — and drop the FIB delta, which then
+  /// holds nothing the caller has not already seen.
+  void revert_(bool commit_threw);
 
   const topo::Topology& topo_;
   GeneratorOptions options_;
   dd::Graph graph_;
+  dd::GraphSnapshot empty_;  ///< the freshly built program, before any commit
+  /// The facts of the last converged apply() (null before the first one).
+  std::shared_ptr<const FactSnapshot> facts_;
 
   bool provenance_ = false;
-  std::unique_ptr<FactSnapshot> prev_facts_;  ///< only while provenance is on
   std::vector<topo::NodeId> changed_devices_;
 
   // Input relations.

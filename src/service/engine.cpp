@@ -484,6 +484,7 @@ void Engine::acknowledge_(Slot& slot, ReplicaEffect effect) {
       delta.kind = effect.kind;
       delta.config = effect.config;
       delta.staged_after = effect.staged_after;
+      delta.recovery = effect.recovery;
       delta.policy = effect.policy;
       delta.record = effect.record;
       if (effect.kind == ReplicaDelta::Kind::kResync) delta.resync = std::move(resyncs[i]);
@@ -924,8 +925,7 @@ json::Value query_body(Session& session, const std::string& policy) {
   body["blackholes"] = json::Value(rc.checker().blackhole_count());
   body["ecs"] = json::Value(rc.ecs().ec_count());
   body["staged"] = json::Value(session.has_staged());
-  body["rebuilds"] = json::Value(session.rebuilds());
-  body["generation"] = json::Value(session.generation());
+  body["rebuilds"] = json::Value(session.recoveries());
   json::Value::Array policies;
   for (const PolicySpec& spec : session.policies()) {
     json::Value p;
@@ -983,22 +983,24 @@ json::Value Engine::run_(Slot* slot, Session* session, const Request& req,
           parse_config_text(req.config_text));
       const bool was_migrated = session->verifier().packet_space().migrated();
       const ProposeOutcome outcome = session->propose(*cfg);
+      const bool id_space_moved = outcome.report.reclaim.remap.has_value() ||
+                                  session->verifier().packet_space().migrated() != was_migrated;
       if (!outcome.converged) {
         metrics_.recoveries.inc();
-        // The session rebuilt itself from the committed baseline: a fresh
-        // EC id space, so replicas must resync.
-        effect.kind = ReplicaDelta::Kind::kResync;
+        // The session rolled back to the committed baseline the way abort
+        // does; replicas replay that re-apply.
+        effect.replay(*session, id_space_moved,
+                      std::make_shared<const config::NetworkConfig>(session->committed()),
+                      false);
+        effect.recovery = true;
         body["status"] = json::Value("nonconvergent");
         body["recovered"] = json::Value(true);
-        body["rebuilds"] = json::Value(session->rebuilds());
+        body["rebuilds"] = json::Value(session->recoveries());
         body["detail"] = json::Value(outcome.error);
         break;
       }
       record_report_(*slot, outcome.report);
-      effect.replay(*session,
-                    outcome.report.reclaim.remap.has_value() ||
-                        session->verifier().packet_space().migrated() != was_migrated,
-                    std::move(cfg), true);
+      effect.replay(*session, id_space_moved, std::move(cfg), true);
       body = report_body(*session, outcome.report);
       body["status"] = json::Value("staged");
       break;
@@ -1115,8 +1117,7 @@ json::Value Engine::stats_json() const {
       s["name"] = json::Value(name);
       s["policies"] = json::Value(slot.session->policies().size());
       s["staged"] = json::Value(slot.session->has_staged());
-      s["rebuilds"] = json::Value(slot.session->rebuilds());
-      s["generation"] = json::Value(slot.session->generation());
+      s["rebuilds"] = json::Value(slot.session->recoveries());
       if (!slot.lanes.empty()) {
         s["replicas"] = json::Value(slot.lanes.size());
         s["epoch"] = json::Value(slot.processed_epoch);

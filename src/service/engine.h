@@ -18,8 +18,9 @@
 //     explicit "backpressure" error, so callers can shed load rather than
 //     stall (the EnginePool's admission control composes with this).
 //   * Recovery — nonterminating proposals are absorbed by Session (the
-//     verifier rebuilds from the last committed config); the engine just
-//     reports the structured outcome and counts the recovery.
+//     diverged apply changes nothing and the session rolls back to the last
+//     committed config); the engine reports the structured outcome, counts
+//     the recovery and streams the roll back to replicas like an abort.
 //
 // Read replicas (sessions opened with "replicas":N > 0):
 //
@@ -46,8 +47,8 @@
 //   blocking replicas exist to remove), and lanes replay the identical
 //   apply stream, so their answers are bit-identical to the primary's at
 //   the same epoch. Where incremental replay cannot preserve EC ids —
-//   rebuilds, reclamation merges, backend migrations — the primary streams
-//   a snapshot resync (a fresh fork) instead. See DESIGN.md.
+//   reclamation merges, backend migrations — the primary streams a
+//   snapshot resync (a fresh fork) instead. See DESIGN.md.
 //
 // Verbs: what the engine needs to know about each verb — its name, whether
 // it names a session, whether it is a replica read — comes from the verb
@@ -169,8 +170,7 @@ class Engine {
     bool busy = false;   ///< a worker is processing this session
     bool ready = false;  ///< queued in ready_
     /// High-water mark of the session's cumulative unknown-unregister
-    /// count already folded into the service counter (the session's value
-    /// resets on rebuild, so deltas are clamped at zero).
+    /// count already folded into the service counter.
     std::uint64_t unknown_unregisters_seen = 0;
 
     std::vector<std::unique_ptr<ReplicaLane>> lanes;  ///< empty without replicas
@@ -185,14 +185,16 @@ class Engine {
     ReplicaDelta::Kind kind = ReplicaDelta::Kind::kNoop;
     std::shared_ptr<const config::NetworkConfig> config;
     bool staged_after = false;
+    bool recovery = false;
     std::shared_ptr<const PolicySpec> policy;
     std::shared_ptr<const ::rcfg::explain::BatchRecord> record;
     unsigned install_lanes = 0;  ///< open only: fork this many lanes
 
-    /// Stream a converged apply of `applied` (propose, or abort's re-apply):
-    /// a replay of it with the batch's provenance record, or a snapshot
-    /// resync when the EC id space moved underneath (a reclamation merge or
-    /// a backend migration), which incremental replay cannot reproduce.
+    /// Stream a converged apply of `applied` (propose, or the re-apply of
+    /// abort or of a nonconvergent proposal's recovery): a replay of it
+    /// with the batch's provenance record, or a snapshot resync when the EC
+    /// id space moved underneath (a reclamation merge or a backend
+    /// migration), which incremental replay cannot reproduce.
     void replay(const Session& session, bool id_space_moved,
                 std::shared_ptr<const config::NetworkConfig> applied, bool staged);
   };

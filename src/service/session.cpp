@@ -34,35 +34,11 @@ verify::PolicyId Session::register_on_verifier_(const PolicySpec& spec) {
   throw std::logic_error("unreachable: bad PolicySpec::Kind");
 }
 
-void Session::rebuild_() {
-  rc_ = std::make_unique<verify::RealConfig>(*topo_, options_.verifier);
-  ++generation_;
-  ++rebuilds_;
-  // The committed baseline converged when it was committed; deterministic
-  // re-verification converges again. (If it somehow does not, the throw
-  // propagates — the caller sees a hard error, not silent corruption.)
-  baseline_report_ = rc_->apply(committed_);
-  ids_.clear();
-  names_by_id_.clear();
-  for (const PolicySpec& spec : specs_) {
-    const verify::PolicyId id = register_on_verifier_(spec);
-    ids_.emplace(spec.name, id);
-    names_by_id_.emplace(id, spec.name);
-  }
-  if (log_ != nullptr) {
-    // The fresh verifier starts a fresh EC id space: older records would
-    // name ECs that no longer exist, so the window starts over.
-    log_ = std::make_unique<::rcfg::explain::ProvenanceLog>(options_.trace_capacity);
-    record_("rebuild", committed_, committed_, baseline_report_);
-  }
-}
-
 void Session::record_(const char* label, const config::NetworkConfig& old_cfg,
                       const config::NetworkConfig& new_cfg,
                       const verify::RealConfig::Report& report) {
   if (log_ == nullptr) return;
   ::rcfg::explain::BatchRecord rec;
-  rec.generation = generation_;
   rec.label = label;
   rec.old_config = old_cfg;
   rec.new_config = new_cfg;
@@ -90,11 +66,11 @@ ProposeOutcome Session::propose(const config::NetworkConfig& cfg) {
     outcome.converged = false;
     outcome.error = e.what();
   }
-  // Graceful recovery (paper §6 says "discard and restart"; we do it for
-  // the caller): drop the poisoned verifier and any staged proposal, and
-  // re-establish the last committed state.
-  staged_.reset();
-  rebuild_();
+  // Graceful recovery (paper §6 says "discard and restart"): the diverged
+  // apply left the verifier at live_(), so rolling back to the committed
+  // baseline is abort's incremental re-apply.
+  ++recoveries_;
+  outcome.report = roll_back_("recover");
   return outcome;
 }
 
@@ -110,13 +86,17 @@ verify::RealConfig::Report Session::abort() {
   if (!staged_.has_value()) {
     throw std::logic_error("session '" + name_ + "': abort with no staged proposal");
   }
+  return roll_back_("abort");
+}
+
+verify::RealConfig::Report Session::roll_back_(const char* label) {
   config::NetworkConfig old_cfg;
-  if (log_ != nullptr) old_cfg = *staged_;
+  if (log_ != nullptr) old_cfg = live_();
   staged_.reset();
   // Roll back incrementally: re-applying the committed config re-verifies
-  // only what the aborted proposal(s) had touched.
+  // only what the dropped proposal(s) had touched.
   verify::RealConfig::Report report = rc_->apply(committed_);
-  record_("abort", old_cfg, committed_, report);
+  record_(label, old_cfg, committed_, report);
   return report;
 }
 
@@ -175,8 +155,7 @@ std::unique_ptr<Session> Session::fork_replica() const {
   r->ids_ = ids_;
   r->names_by_id_ = names_by_id_;
   if (log_ != nullptr) r->log_ = std::make_unique<::rcfg::explain::ProvenanceLog>(*log_);
-  r->rebuilds_ = rebuilds_;
-  r->generation_ = generation_;
+  r->recoveries_ = recoveries_;
   return r;
 }
 
@@ -189,6 +168,7 @@ void Session::apply_replica_delta(const ReplicaDelta& delta) {
       // Deterministic replay of the primary's apply. The primary already
       // converged on this input, reclamation did not fire (that would have
       // been a kResync), so neither happens here either.
+      if (delta.recovery) ++recoveries_;
       rc_->apply(*delta.config);
       if (delta.staged_after) {
         staged_ = *delta.config;
@@ -218,8 +198,8 @@ void Session::apply_replica_delta(const ReplicaDelta& delta) {
 Session::ExplainResult Session::explain(const std::string& policy_name) const {
   std::string resolved = policy_name;
   if (resolved.empty()) {
-    // Newest verdict-flip-to-false still in the provenance window. The
-    // window never spans a rebuild, so its PolicyIds are current.
+    // Newest verdict-flip-to-false still in the provenance window. A
+    // session never drops a policy, so its PolicyIds are current.
     if (log_ != nullptr) {
       for (std::size_t i = 0; i < log_->size() && resolved.empty(); ++i) {
         for (const verify::PolicyEvent& e : log_->newest(i).events) {

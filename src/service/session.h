@@ -7,14 +7,14 @@
 //     it the new baseline; abort() rolls the live state back to the last
 //     committed configuration *incrementally* (re-applying it, which only
 //     touches what the aborted proposal changed);
-//   * a named-policy registry — policies survive verifier rebuilds, because
-//     the session remembers their specs, not just their PolicyIds;
+//   * a named-policy registry — the session remembers each policy's spec,
+//     so replicas and forks can register it by name;
 //   * automatic nontermination recovery — when a proposal's control plane
-//     does not converge (dd::NonterminationError, paper §6), the poisoned
-//     RealConfig is discarded and rebuilt from the last committed
-//     configuration, policies re-registered, and the caller gets a
-//     structured "nonconvergent" outcome instead of a dead verifier. This
-//     turns the paper's discard-and-restart caveat into a service-level
+//     does not converge (dd::NonterminationError, paper §6), the diverged
+//     apply leaves the verifier as it was, the session rolls back to the
+//     last committed configuration exactly as abort() does, and the caller
+//     gets a structured "nonconvergent" outcome. The paper's
+//     discard-and-restart caveat becomes an O(change) service-level
 //     guarantee: a session is never left unusable by a bad proposal.
 //
 // A Session is NOT thread-safe; the Engine serializes access per session.
@@ -37,8 +37,8 @@
 
 namespace rcfg::service {
 
-/// A policy by name + node names: everything needed to (re)register it on a
-/// fresh verifier.
+/// A policy by name + node names: everything needed to register it on a
+/// verifier.
 struct PolicySpec {
   enum class Kind : std::uint8_t { kReachable, kIsolated, kWaypoint };
   Kind kind = Kind::kReachable;
@@ -62,12 +62,13 @@ struct SessionOptions {
   unsigned replicas = 0;
 };
 
-/// Result of propose(): either a verification report (converged) or the
-/// recovery record (nonconvergent; the session was rebuilt and is usable).
+/// Result of propose(): the proposal's verification report (converged), or
+/// the report of the recovery's re-apply of the committed configuration
+/// (nonconvergent; the session rolled back and is usable).
 struct ProposeOutcome {
   bool converged = true;
-  verify::RealConfig::Report report;  ///< valid iff converged
-  std::string error;                  ///< nontermination message otherwise
+  verify::RealConfig::Report report;
+  std::string error;  ///< nontermination message when not converged
 };
 
 struct ReplicaDelta;
@@ -90,8 +91,9 @@ class Session {
   /// Verify `cfg` against the live state and stage it. Proposing on top of
   /// an uncommitted proposal is allowed (the staged config is replaced; the
   /// verification is incremental from the previous proposal — this is what
-  /// the engine's coalescing leans on). On nontermination the session
-  /// rebuilds itself from the committed baseline and reports converged=false.
+  /// the engine's coalescing leans on). On nontermination the session rolls
+  /// back to the committed baseline as abort() does (dropping any staged
+  /// proposal) and reports converged=false.
   ProposeOutcome propose(const config::NetworkConfig& cfg);
 
   bool has_staged() const { return staged_.has_value(); }
@@ -107,8 +109,8 @@ class Session {
   verify::RealConfig::Report abort();
 
   // --- named policies ------------------------------------------------------
-  /// Registers the policy on the live verifier and records the spec for
-  /// re-registration after a rebuild. Returns its current satisfaction.
+  /// Registers the policy on the live verifier and records its spec.
+  /// Returns its current satisfaction.
   /// Throws std::invalid_argument on duplicate name or unknown node.
   bool add_policy(const PolicySpec& spec);
 
@@ -126,8 +128,7 @@ class Session {
   /// committed baseline). Every scenario runs on a forked replica; the live
   /// verifier itself is checkpointed but never mutated, so the session keeps
   /// serving queries mid-sweep. Diverging scenarios are reported, never
-  /// fatal. Throws std::logic_error if the verifier is poisoned (cannot
-  /// happen through the public verbs: propose() rebuilds on divergence).
+  /// fatal.
   verify::FailureSweepResult sweep(const verify::FailureSweepOptions& options = {});
 
   // --- relational verification --------------------------------------------
@@ -173,7 +174,6 @@ class Session {
   /// byte for byte). The clone shares the immutable topology. The caller
   /// must not mutate primary and clone concurrently *with each other's
   /// construction*; afterwards they are fully independent.
-  /// Throws std::logic_error if the verifier is poisoned.
   std::unique_ptr<Session> fork_replica() const;
 
   /// Replay one primary mutation on this replica (see ReplicaDelta). The
@@ -183,16 +183,16 @@ class Session {
   void apply_replica_delta(const ReplicaDelta& delta);
 
   // --- introspection -------------------------------------------------------
-  std::size_t rebuilds() const { return rebuilds_; }
-  std::size_t generation() const { return generation_; }  ///< verifier instance #
+  /// Nonconvergent proposals recovered from (the wire's "rebuilds").
+  std::size_t recoveries() const { return recoveries_; }
   verify::RealConfig& verifier() { return *rc_; }
   const verify::RealConfig& verifier() const { return *rc_; }
 
  private:
   verify::PolicyId register_on_verifier_(const PolicySpec& spec);
-  /// Discard the (poisoned) verifier, rebuild from `committed_`, re-register
-  /// all policies.
-  void rebuild_();
+  /// Drop the staged proposal and re-apply `committed_` (abort, and the
+  /// recovery from a nonconvergent proposal), recorded under `label`.
+  verify::RealConfig::Report roll_back_(const char* label);
   /// Append one batch to the provenance log (no-op when tracing is off).
   void record_(const char* label, const config::NetworkConfig& old_cfg,
                const config::NetworkConfig& new_cfg,
@@ -220,12 +220,10 @@ class Session {
   std::unordered_map<std::string, verify::PolicyId> ids_;
   std::unordered_map<verify::PolicyId, std::string> names_by_id_;
 
-  /// Present iff SessionOptions::trace. Cleared on rebuild: a fresh
-  /// verifier starts a fresh EC id space, so older records would lie.
+  /// Present iff SessionOptions::trace.
   std::unique_ptr<::rcfg::explain::ProvenanceLog> log_;
 
-  std::size_t rebuilds_ = 0;
-  std::size_t generation_ = 1;
+  std::size_t recoveries_ = 0;
 };
 
 /// One primary-side mutation, as streamed to a session's read replicas.
@@ -244,14 +242,16 @@ class Session {
 /// catch-up never coalesces kApply deltas.
 ///
 /// kResync replaces incremental replay where id-stability breaks: after a
-/// primary rebuild (nontermination recovery), after a reclamation merge
-/// (EcRemap — replaying it would renumber independently), and after a
-/// packet-space backend migration. The delta carries a fresh fork of the
-/// post-mutation primary.
+/// reclamation merge (EcRemap — replaying it would renumber independently)
+/// and after a packet-space backend migration. The delta carries a fresh
+/// fork of the post-mutation primary. (The engine also squashes a lagging
+/// lane's backlog into one.) A nonconvergent proposal streams the
+/// recovery's re-apply of the committed configuration as a kApply, like
+/// abort: the diverged apply changed nothing on the primary.
 struct ReplicaDelta {
   enum class Kind : std::uint8_t {
     kNoop,       ///< non-mutating request; advances the epoch only
-    kApply,      ///< propose/abort: re-apply `config` on the replica
+    kApply,      ///< propose/abort/recovery: re-apply `config` on the replica
     kCommit,     ///< promote staged -> committed (metadata only)
     kAddPolicy,  ///< register `policy` (same PolicyId by construction)
     kResync,     ///< adopt `resync`, a fresh fork of the primary
@@ -262,6 +262,7 @@ struct ReplicaDelta {
 
   std::shared_ptr<const config::NetworkConfig> config;  ///< kApply
   bool staged_after = false;  ///< kApply: propose stages, abort un-stages
+  bool recovery = false;      ///< kApply: a nonconvergent proposal's roll back
   std::shared_ptr<const PolicySpec> policy;  ///< kAddPolicy
   /// kApply, tracing sessions only: the primary's provenance record for
   /// this batch, so replica explain answers carry the primary's timings.

@@ -186,8 +186,8 @@ FailureSweepResult sweep_failures(RealConfig& rc, const config::NetworkConfig& h
       out.scenario = scens[i];
 
       // Fork semantics: every scenario starts from the pristine healthy
-      // checkpoint — no reconvergence debt, no EC-partition drift, and a
-      // diverged previous scenario leaves no trace (restore un-poisons).
+      // checkpoint — no reconvergence debt and no EC-partition drift (a
+      // diverged scenario's apply already left the replica unchanged).
       const Timer restore_timer;
       replica->restore(*snap);
       out.restore_ms = restore_timer.ms();

@@ -6,8 +6,8 @@
 // every scenario as "restore snapshot -> apply delta -> check -> discard" on
 // forked replicas, optionally sharded over a worker pool (one replica per
 // worker, so nothing is shared but the immutable snapshot). A scenario whose
-// control plane oscillates is recorded as diverged; the next restore
-// un-poisons the replica. Supports k simultaneous link failures for any k,
+// control plane oscillates is recorded as diverged (its apply left the
+// replica unchanged). Supports k simultaneous link failures for any k,
 // with Plankton-style pruning for the deep space (sweep_space.h): dependency
 // pruning (skip scenarios that cannot move a registered policy), fat-tree
 // pod symmetry dedup (verify one orbit representative, replay its outcome

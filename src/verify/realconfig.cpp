@@ -23,20 +23,9 @@ RealConfig::RealConfig(const topo::Topology& topo, RealConfigOptions options)
 }
 
 RealConfig::Report RealConfig::apply(const config::NetworkConfig& cfg) {
-  if (poisoned_) {
-    throw std::logic_error(
-        "RealConfig::apply called on a poisoned instance: a previous apply() threw "
-        "NonterminationError, leaving the pipeline state inconsistent; build a fresh "
-        "RealConfig from the last known-good configuration instead");
-  }
   Report report;
   const auto t0 = std::chrono::steady_clock::now();
-  try {
-    report.dataplane = generator_.apply(cfg);
-  } catch (const dd::NonterminationError&) {
-    poisoned_ = true;
-    throw;
-  }
+  report.dataplane = generator_.apply(cfg);  // leaves every stage as it was on a throw
   const auto t1 = std::chrono::steady_clock::now();
   if (options_.provenance) report.changed_devices = generator_.last_changed_devices();
   report.model = model_.apply_batch(report.dataplane, options_.update_order);
@@ -77,11 +66,6 @@ void RealConfig::maybe_reclaim(Report& report) {
 }
 
 std::shared_ptr<const RealConfig::Snapshot> RealConfig::snapshot() const {
-  if (poisoned_) {
-    throw std::logic_error(
-        "RealConfig::snapshot called on a poisoned instance: the pipeline state is "
-        "inconsistent; snapshots may only capture converged states");
-  }
   auto snap = std::make_shared<Snapshot>();
   snap->generator = generator_.snapshot();
   snap->space = space_;
@@ -99,7 +83,6 @@ void RealConfig::restore(const Snapshot& snap) {
   model_.restore(snap.model);
   checker_.restore(snap.checker);
   generator_.restore(snap.generator);
-  poisoned_ = false;
 }
 
 std::unique_ptr<RealConfig> RealConfig::fork(const Snapshot& snap) const {

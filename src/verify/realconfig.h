@@ -75,10 +75,9 @@ class RealConfig {
 
   /// One verification round. Throws dd::NonterminationError (possibly the
   /// RecurringStateError subclass) when the control plane cannot converge
-  /// (paper §6); the instance is then *poisoned* — its internal state is
-  /// partially updated and unusable — and must be discarded (or wrapped in
-  /// service::Session, which rebuilds automatically). Calling apply() again
-  /// on a poisoned instance throws std::logic_error.
+  /// (paper §6); the instance is then exactly as it was before the call —
+  /// the generator re-loads its last converged facts and stages 2–3 never
+  /// see the diverged delta — and keeps verifying.
   struct Report {
     routing::DataPlaneDelta dataplane;
     dpm::ModelDelta model;
@@ -112,12 +111,6 @@ class RealConfig {
   };
   Report apply(const config::NetworkConfig& cfg);
 
-  /// True once an apply() ended in NonterminationError: the pipeline state
-  /// is inconsistent (the generator converged partially, the model and
-  /// checker never saw the delta) and no further apply() is allowed.
-  /// restore() un-poisons by overwriting the inconsistent state wholesale.
-  bool poisoned() const { return poisoned_; }
-
   // --- checkpoint / fork ---------------------------------------------------
   /// A converged pipeline state: generator operator state, the whole BDD
   /// manager (so every stored BddRef — EC atoms, policy packet sets, ACL
@@ -128,20 +121,18 @@ class RealConfig {
   /// See DESIGN.md "Snapshot / fork" for the deep-copy-vs-shared contract.
   struct Snapshot;
 
-  /// Checkpoint the current (converged, non-poisoned) state. Throws
-  /// std::logic_error when poisoned or mid-pipeline.
+  /// Checkpoint the current (always converged) state.
   std::shared_ptr<const Snapshot> snapshot() const;
 
   /// Reset the pipeline to `snap` (taken from this instance or from any
-  /// RealConfig over the same topology and equivalent options). Clears the
-  /// poisoned flag: restoring is the sanctioned recovery path after a
-  /// divergent apply(). Component wiring (EC-split subscriptions, the
-  /// checker's worker pool) is untouched; only state is replaced. Restoring
-  /// the snapshot this instance was last restored (or forked) from again
-  /// rolls the generator's dataflow state back in O(change) while its undo
-  /// journals stay bounded (dd/graph.h) — the restore → apply → restore
-  /// loop of a sweep replica; the EC partition, model, checker and BDD
-  /// manager are still deep-copied.
+  /// RealConfig over the same topology and equivalent options). Component
+  /// wiring (EC-split subscriptions, the checker's worker pool) is
+  /// untouched; only state is replaced. Restoring the snapshot this
+  /// instance was last restored (or forked) from again rolls the
+  /// generator's dataflow state back in O(change) while its undo journals
+  /// stay bounded (dd/graph.h) — the restore → apply → restore loop of a
+  /// sweep replica; the EC partition, model, checker and BDD manager are
+  /// still deep-copied.
   void restore(const Snapshot& snap);
 
   /// Build an independent replica seeded from `snap`: a new RealConfig on
@@ -195,7 +186,6 @@ class RealConfig {
   dpm::EcManager ecs_;
   dpm::NetworkModel model_;
   IncrementalChecker checker_;
-  bool poisoned_ = false;
 };
 
 struct RealConfig::Snapshot {

@@ -51,6 +51,13 @@
 //       apply — FIB, EC partition, check report and every verdict — along
 //       random change sequences and around the bad-gadget BGP
 //       configuration, whose apply diverges mid-commit.
+//  (10) in-place divergence recovery: random ISP churn on a BGP full mesh
+//       with the bad gadget's dispute-wheel local-prefs injected at random
+//       steps. A diverged apply leaves the FIB, EC ids, reachable pairs and
+//       verdicts exactly as they were; a converged one equals a fresh
+//       verifier's and the baseline's FIB; a replica fed only the converged
+//       applies stays bit-identical to the primary; and a replica restoring
+//       its base after a diverged apply equals a deep copy of that base.
 //
 // Change selection follows the uniquely-convergent rule from
 // tests/routing/differential_test.cpp: link failures/restores, OSPF costs,
@@ -1071,6 +1078,126 @@ TEST(FuzzDifferential, RolledBackReplicaRecoversFromDivergence) {
     expect_same_verifier(*replica, *fresh, policies);
     if (::testing::Test::HasFailure()) return;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Oracle 10: a diverged apply changes nothing
+// ---------------------------------------------------------------------------
+
+/// What a diverged apply must leave untouched: the FIB, the EC partition
+/// (ids and predicates), the reachable pairs and every verdict.
+struct VerifierState {
+  dd::ZSet<routing::FibEntry> fib;
+  std::vector<dpm::BddRef> ecs;
+  std::vector<std::pair<topo::NodeId, topo::NodeId>> pairs;
+  std::vector<bool> verdicts;
+
+  static VerifierState of(verify::RealConfig& rc,
+                          const std::vector<verify::PolicyId>& policies) {
+    VerifierState s;
+    s.fib = rc.generator().fib();
+    for (dpm::EcId ec = 0; ec < rc.ecs().ec_count(); ++ec) s.ecs.push_back(rc.ecs().ec_bdd(ec));
+    s.pairs = rc.checker().reachable_pairs();
+    for (const verify::PolicyId id : policies) {
+      s.verdicts.push_back(rc.checker().policy_satisfied(id));
+    }
+    return s;
+  }
+  bool operator==(const VerifierState&) const = default;
+};
+
+TEST(FuzzDifferential, DivergedApplyLeavesVerifierUnchanged) {
+  const unsigned iters = fuzz_iters();
+  const topo::Topology t = topo::make_full_mesh(4);
+  const net::Ipv4Prefix m0 = config::host_prefix(t.find_node("m0"));
+  // Registered in the same order everywhere, so PolicyIds line up.
+  const auto with_policies = [&](verify::RealConfig& rc) {
+    std::vector<verify::PolicyId> ids;
+    for (unsigned i = 1; i <= 3; ++i) {
+      ids.push_back(rc.require_reachable("m" + std::to_string(i), "m0", m0));
+    }
+    ids.push_back(rc.require_isolated("m0", "m2", config::isp_extra_prefix(t.find_node("m2"))));
+    return ids;
+  };
+  unsigned diverged = 0;
+  unsigned converged = 0;
+  for (unsigned iter = 0; iter < iters; ++iter) {
+    const std::uint64_t seed = 0xF1000000ULL + iter;
+    SCOPED_TRACE("fuzz seed " + std::to_string(seed) + " (iteration " +
+                 std::to_string(iter) + ")");
+    core::Rng rng(seed);
+
+    config::NetworkConfig cfg = config::build_bgp_network(t);
+    verify::RealConfig rc(t);
+    const std::vector<verify::PolicyId> policies = with_policies(rc);
+    rc.apply(cfg);
+    const auto base = rc.snapshot();
+    // `lane` follows the converged applies only, as a service replica does;
+    // `roller` returns to the base before every apply, as a sweep lane does.
+    const std::unique_ptr<verify::RealConfig> lane = rc.fork(*base);
+    const std::unique_ptr<verify::RealConfig> roller = rc.fork(*base);
+
+    for (int step = 0; step < 12; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      config::NetworkConfig next = cfg;
+      if (rng.next_bool(0.3)) {
+        config::set_local_pref(next, "m1", "to-m2", 200);
+        config::set_local_pref(next, "m2", "to-m3", 200);
+        config::set_local_pref(next, "m3", "to-m1", 200);
+      } else {
+        config::isp_route_churn_step(next, t, rng);
+      }
+
+      const VerifierState before = VerifierState::of(rc, policies);
+      bool ok = true;
+      try {
+        rc.apply(next);
+      } catch (const dd::NonterminationError&) {
+        ok = false;
+      }
+      roller->restore(*base);
+      EXPECT_EQ(ok, [&] {
+        try {
+          roller->apply(next);
+          return true;
+        } catch (const dd::NonterminationError&) {
+          return false;
+        }
+      }()) << "the primary and a replica disagree on convergence";
+
+      if (!ok) {
+        ++diverged;
+        EXPECT_TRUE(VerifierState::of(rc, policies) == before)
+            << "a diverged apply changed the primary";
+        roller->restore(*base);
+        const std::unique_ptr<verify::RealConfig> deep = rc.fork(*base);
+        expect_same_verifier(*roller, *deep, policies);
+      } else {
+        ++converged;
+        cfg = next;
+        verify::RealConfig fresh(t);
+        with_policies(fresh);
+        fresh.apply(cfg);
+        EXPECT_TRUE(rc.generator().fib() == fresh.generator().fib()) << "FIB differs";
+        EXPECT_EQ(rc.checker().reachable_pairs(), fresh.checker().reachable_pairs());
+        for (const verify::PolicyId id : policies) {
+          EXPECT_EQ(rc.checker().policy_satisfied(id), fresh.checker().policy_satisfied(id))
+              << "policy " << id;
+        }
+        EXPECT_TRUE(rc.generator().fib() == baseline::simulate(t, cfg).fib)
+            << "engine FIB differs from baseline simulator";
+        lane->apply(cfg);
+        expect_same_verifier(*lane, rc, policies);
+        const std::unique_ptr<verify::RealConfig> forked = rc.fork(*base);
+        forked->apply(cfg);
+        expect_same_verifier(*roller, *forked, policies);
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  // Both branches ran: the oracle is not vacuous.
+  EXPECT_GT(diverged, 0u);
+  EXPECT_GT(converged, 0u);
 }
 
 }  // namespace

@@ -614,7 +614,7 @@ TEST(Engine, ResponseKeysPerVerb) {
       "affected_ecs,affected_pairs,bdd_nodes,changed_pairs,check_ms,ec_count,events,"
       "fib_changes,filter_changes,generate_ms,";
   const std::string summary =
-      "blackholes,ecs,generation,id,loops,ok,pairs,policies,rebuilds,session,staged";
+      "blackholes,ecs,id,loops,ok,pairs,policies,rebuilds,session,staged";
   const std::string explained =
       "branches,cause,id,kind,ok,policy,satisfied,session,trace_enabled,witness";
 

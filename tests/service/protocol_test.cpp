@@ -416,7 +416,7 @@ TEST(Protocol, RcfgdTranscriptEndToEnd) {
 
   // The query observes the recovered, committed state (policy intact).
   EXPECT_EQ(by_id[7].get_int("rebuilds"), 1);
-  EXPECT_EQ(by_id[7].get_int("generation"), 2);
+  EXPECT_EQ(by_id[7].find("generation"), nullptr);
   EXPECT_FALSE(by_id[7].get_bool("staged"));
   const auto& policies = by_id[7].find("policies")->as_array();
   ASSERT_EQ(policies.size(), 1u);

@@ -1,7 +1,8 @@
 // Read-replica correctness: sessions opened with "replicas":N must answer
 // reads bit-identically to the primary at the acknowledged epoch, across
-// delta replay (propose/commit/abort/add_policy), snapshot resyncs
-// (rebuilds, reclamation remaps), and the round-robin lane routing.
+// delta replay (propose/commit/abort/add_policy and nontermination
+// recovery), snapshot resyncs (reclamation remaps), and the round-robin
+// lane routing.
 
 #include <gtest/gtest.h>
 
@@ -208,28 +209,51 @@ TEST(Replica, ExplainMatchesPrimaryIncludingProvenanceTimings) {
   }
 }
 
-TEST(Replica, RebuildAfterNonterminationResyncsLanes) {
+TEST(Replica, NonterminationRecoveryReplaysOnLanes) {
   const topo::Topology t = topo::make_full_mesh(4);
   const config::NetworkConfig good = config::build_bgp_network(t);
   const config::NetworkConfig bad = testutil::bad_gadget(t);
 
   SessionOptions sopts;
   sopts.replicas = 1;
+  sopts.trace = true;  // the lane's provenance window must match too
   Engine engine;
   ASSERT_TRUE(engine.call(open_request(1, "net", "full_mesh", 4, good, sopts)).ok);
+  Request add = verb_request(2, "net", Verb::kAddPolicy);
+  add.policy = reach("m0-m1", "m0", "m1", config::host_prefix(t.find_node("m1")));
+  ASSERT_TRUE(engine.call(add).ok);
+
+  // Stage a proposal first: the recovery has to roll it back on both sides.
+  config::NetworkConfig staged = good;
+  config::fail_link(staged, t, 0);
+  ASSERT_TRUE(engine.call(propose_request(3, "net", staged)).ok);
   expect_parity(engine, "net");
 
-  const Response p = engine.call(propose_request(2, "net", bad));
+  const Response p = engine.call(propose_request(4, "net", bad));
   ASSERT_TRUE(p.ok);
   EXPECT_EQ(p.body.get_string("status"), "nonconvergent");
   EXPECT_TRUE(p.body.get_bool("recovered"));
 
-  // The primary rebuilt from the committed baseline (fresh EC id space);
-  // the lane must have been resynced with a fresh fork, not replayed.
+  // The diverged apply left the primary as it was, so the lane replays the
+  // recovery's re-apply of the committed config like an abort: no resync.
   engine.drain();
-  EXPECT_GE(engine.metrics().replica_resyncs.value(), 1u);
+  EXPECT_EQ(engine.metrics().replica_resyncs.value(), 0u);
   expect_parity(engine, "net");
+  expect_parity(engine, "net", "m0-m1");
+  Request explain = verb_request(60, "net", Verb::kExplain);
+  explain.query_policy = "m0-m1";
+  Request explain_primary = explain;
+  explain_primary.force_primary = true;
+  EXPECT_EQ(serialize_response(engine.call(explain)),
+            serialize_response(engine.call(explain_primary)));
   EXPECT_EQ(engine.metrics().replica_lane_failures.value(), 0u);
+
+  // And both sides keep verifying in step.
+  config::NetworkConfig after = good;
+  config::fail_link(after, t, 2);
+  ASSERT_TRUE(engine.call(propose_request(5, "net", after)).ok);
+  expect_parity(engine, "net");
+  EXPECT_EQ(engine.metrics().replica_resyncs.value(), 0u);
 }
 
 TEST(Replica, ReclamationRemapResyncsLanes) {

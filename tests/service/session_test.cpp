@@ -122,24 +122,24 @@ TEST(Session, RecoversFromNonterminatingProposal) {
   const auto p1 = config::host_prefix(t.find_node("m1"));
   s.add_policy(reach("m0-m1", "m0", "m1", p1));
   EXPECT_TRUE(s.policy_satisfied("m0-m1"));
-  EXPECT_EQ(s.generation(), 1u);
 
   // Stage something first: recovery must also discard the staged proposal.
   config::NetworkConfig staged = good;
   config::fail_link(staged, t, 0);
   ASSERT_TRUE(s.propose(staged).converged);
   EXPECT_TRUE(s.has_staged());
+  const std::size_t ecs = s.verifier().ecs().ec_count();
 
   const ProposeOutcome bad = s.propose(testutil::bad_gadget(t));
   EXPECT_FALSE(bad.converged);
   EXPECT_FALSE(bad.error.empty());
 
-  // The session transparently rebuilt from the last committed config.
-  EXPECT_EQ(s.rebuilds(), 1u);
-  EXPECT_EQ(s.generation(), 2u);
+  // The session transparently rolled back to the last committed config,
+  // keeping its EC partition.
+  EXPECT_EQ(s.recoveries(), 1u);
   EXPECT_FALSE(s.has_staged());
-  EXPECT_FALSE(s.verifier().poisoned());
-  EXPECT_TRUE(s.policy_satisfied("m0-m1"));  // policies survived the rebuild
+  EXPECT_EQ(s.verifier().ecs().ec_count(), ecs);
+  EXPECT_TRUE(s.policy_satisfied("m0-m1"));
   EXPECT_EQ(s.committed(), good);
 
   // And it keeps verifying incrementally afterwards.
@@ -158,11 +158,11 @@ TEST(Session, RecoversFromNonterminatingProposal) {
   EXPECT_EQ(s.verifier().checker().pair_count(), oracle.checker().pair_count());
 }
 
-TEST(Session, ReRegisteredPoliciesFireAfterRecovery) {
-  // Regression: the rebuild after a poisoned proposal re-registers every
-  // policy on the fresh verifier. Those re-registrations must be LIVE —
-  // wired into the checker's per-EC policy index so the next committed
-  // change produces events — not merely present in the registry.
+TEST(Session, PoliciesFireAfterRecovery) {
+  // Policies registered before a nonconvergent proposal stay LIVE after
+  // the recovery — wired into the checker's per-EC policy index so the
+  // next committed change produces events — not merely present in the
+  // registry.
   const topo::Topology t = topo::make_full_mesh(4);
   const config::NetworkConfig good = config::build_bgp_network(t);
   Session s("net", t, good);
@@ -172,7 +172,7 @@ TEST(Session, ReRegisteredPoliciesFireAfterRecovery) {
 
   const ProposeOutcome bad = s.propose(testutil::bad_gadget(t));
   ASSERT_FALSE(bad.converged);
-  ASSERT_EQ(s.rebuilds(), 1u);
+  ASSERT_EQ(s.recoveries(), 1u);
   ASSERT_TRUE(s.policy_satisfied("m0-m1"));
 
   // Cut m1 off entirely in the first post-recovery change.
@@ -192,7 +192,7 @@ TEST(Session, ReRegisteredPoliciesFireAfterRecovery) {
       EXPECT_FALSE(e.satisfied);
     }
   }
-  EXPECT_TRUE(fired) << "re-registered policy produced no event on the next change";
+  EXPECT_TRUE(fired) << "policy produced no event on the first change after recovery";
   s.commit();
 
   // And it flips back (with an event) when the repair lands.

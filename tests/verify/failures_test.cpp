@@ -146,8 +146,7 @@ TEST(FailureSweep, DivergentScenarioIsRecordedNotFatal) {
     }
   }
 
-  // The sweep must not leave the verifier poisoned.
-  EXPECT_FALSE(rc.poisoned());
+  // The sweep leaves the verifier as it was.
   EXPECT_EQ(rc.checker().reachable_pairs(), r.healthy_pairs);
   EXPECT_NO_THROW(rc.apply(healthy));
 }
@@ -171,7 +170,6 @@ TEST(FailureSweep, ForkSweepRecordsDivergenceWithoutTouchingParent) {
 
   // The divergent scenario ran on a replica: the parent is untouched and
   // still applies.
-  EXPECT_FALSE(rc.poisoned());
   EXPECT_EQ(rc.checker().reachable_pairs(), r.healthy_pairs);
   EXPECT_NO_THROW(rc.apply(healthy));
 }

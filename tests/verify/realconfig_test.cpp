@@ -182,16 +182,64 @@ TEST(RealConfig, NonconvergentConfigThrows) {
   config::set_local_pref(cfg, "m2", "to-m3", 200);
   config::set_local_pref(cfg, "m3", "to-m1", 200);
 
+  // A diverged first apply leaves the instance empty and usable.
   RealConfig rc(t);
-  EXPECT_FALSE(rc.poisoned());
+  EXPECT_THROW(rc.apply(cfg), dd::NonterminationError);
+  EXPECT_TRUE(rc.generator().fib().empty());
+  EXPECT_EQ(rc.checker().pair_count(), 0u);
+
+  const config::NetworkConfig good = config::build_bgp_network(t);
+  rc.apply(good);
+  const auto fib = rc.generator().fib();
+  const auto pairs = rc.checker().reachable_pairs();
+  const std::size_t ecs = rc.ecs().ec_count();
+
+  // A later one leaves the FIB, the EC partition and the pairs as they
+  // were, and diverges again when retried.
+  EXPECT_THROW(rc.apply(cfg), dd::NonterminationError);
+  EXPECT_EQ(rc.generator().fib(), fib);
+  EXPECT_EQ(rc.ecs().ec_count(), ecs);
+  EXPECT_EQ(rc.checker().reachable_pairs(), pairs);
   EXPECT_THROW(rc.apply(cfg), dd::NonterminationError);
 
-  // The instance is now poisoned: further applies fail fast with a clear
-  // error instead of computing on inconsistent pipeline state — even with a
-  // configuration that would converge fine on a fresh instance.
-  EXPECT_TRUE(rc.poisoned());
-  EXPECT_THROW(rc.apply(cfg), std::logic_error);
-  EXPECT_THROW(rc.apply(config::build_bgp_network(t)), std::logic_error);
+  // The instance keeps verifying: its next apply equals that of a fresh
+  // verifier that never saw the diverged configuration.
+  config::NetworkConfig after = good;
+  config::fail_link(after, t, 2);
+  rc.apply(after);
+  RealConfig fresh(t);
+  fresh.apply(good);
+  fresh.apply(after);
+  EXPECT_EQ(rc.generator().fib(), fresh.generator().fib());
+  EXPECT_EQ(rc.ecs().ec_count(), fresh.ecs().ec_count());
+  EXPECT_EQ(rc.checker().reachable_pairs(), fresh.checker().reachable_pairs());
+}
+
+TEST(RealConfig, ProvenanceAfterDivergenceDiffsLastConvergedFacts) {
+  const topo::Topology t = topo::make_full_mesh(4);
+  const config::NetworkConfig good = config::build_bgp_network(t);
+  // The dispute wheel changes the facts of m1..m3 (origins, sessions).
+  config::NetworkConfig wheel = good;
+  for (unsigned i = 1; i <= 3; ++i) {
+    wheel.devices.at("m" + std::to_string(i)).bgp->networks.clear();
+  }
+  config::set_local_pref(wheel, "m1", "to-m2", 200);
+  config::set_local_pref(wheel, "m2", "to-m3", 200);
+  config::set_local_pref(wheel, "m3", "to-m1", 200);
+
+  RealConfigOptions opts;
+  opts.provenance = true;
+  RealConfig rc(t, opts);
+  rc.apply(good);
+  ASSERT_THROW(rc.apply(wheel), dd::NonterminationError);
+
+  // Against `good` only m0 changed; a diff against the diverged facts
+  // would name m1..m3 as well.
+  config::NetworkConfig next = good;
+  next.devices.at("m0").static_routes.push_back(
+      {net::Ipv4Prefix{net::Ipv4Addr{203, 0, 113, 0}, 24}, "null0", 1});
+  const RealConfig::Report report = rc.apply(next);
+  EXPECT_EQ(report.changed_devices, std::vector<topo::NodeId>{t.find_node("m0")});
 }
 
 // ---------------------------------------------------------------------------
@@ -277,22 +325,27 @@ TEST(RealConfigSnapshot, ForkedReplicaMatchesParentAndLeavesItUntouched) {
   EXPECT_EQ(replica->checker().blackhole_count(), rc.checker().blackhole_count());
 }
 
-TEST(RealConfigSnapshot, RestoreUnpoisonsAfterDivergence) {
+TEST(RealConfigSnapshot, DivergedApplyLeavesStateUnchanged) {
   const topo::Topology t = topo::make_full_mesh(4);
   const config::NetworkConfig healthy = stabilized_gadget(t);
   RealConfig rc(t);
   rc.apply(healthy);
   const auto healthy_pairs = rc.checker().reachable_pairs();
+  const auto healthy_fib = rc.generator().fib();
   const auto snap = rc.snapshot();
 
   config::NetworkConfig failed = healthy;
   config::fail_link(failed, t, link_between(t, "m0", "m1"));
   ASSERT_THROW(rc.apply(failed), dd::NonterminationError);
-  ASSERT_TRUE(rc.poisoned());
-  EXPECT_THROW(rc.snapshot(), std::logic_error);  // no checkpointing mid-wreck
+  EXPECT_EQ(rc.checker().reachable_pairs(), healthy_pairs);
+  EXPECT_EQ(rc.generator().fib(), healthy_fib);
 
+  // The unchanged state checkpoints, and restoring it (or the earlier
+  // checkpoint) lands on the same healthy state.
+  const auto after = rc.snapshot();
+  rc.restore(*after);
+  EXPECT_EQ(rc.generator().fib(), healthy_fib);
   rc.restore(*snap);
-  EXPECT_FALSE(rc.poisoned());
   EXPECT_EQ(rc.checker().reachable_pairs(), healthy_pairs);
 
   // And the recovered instance verifies converging deltas again.
