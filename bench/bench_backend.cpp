@@ -13,8 +13,8 @@
 //     fat-tree k=8 and k=12.
 //   * verify layer (informative): the full RealConfig pipeline on static
 //     null-route announce/withdraw churn at k=8, comparing the model-stage
-//     time (stage 2: EC registration + model moves) between the pinned-BDD
-//     and interval lanes.
+//     time (stage 2: EC registration + model moves) between a lane moved
+//     onto BDDs at construction and an interval lane.
 //
 // Acceptance: the EC-layer ratio at k=8 must be >= 3.0 (exit 1 otherwise).
 //
@@ -80,8 +80,11 @@ struct EcLane {
   std::vector<std::optional<std::vector<bool>>> witnesses;  ///< final, per EC
 };
 
-EcLane run_ec_churn(dpm::BackendKind kind, const EcScript& script) {
-  dpm::PacketSpace space(kind);
+/// `bdd`: move the space onto BDDs before the script; otherwise it stays on
+/// interval atoms throughout (the script is prefix-only).
+EcLane run_ec_churn(bool bdd, const EcScript& script) {
+  dpm::PacketSpace space;
+  if (bdd) space.migrate_to_bdd();
   dpm::EcManager ecs(space);
   EcLane lane;
   const bench::Timer timer;
@@ -115,11 +118,10 @@ struct VerifyLane {
   std::size_t final_ecs = 0;
 };
 
-VerifyLane run_verify_churn(dpm::BackendKind kind, const topo::Topology& topo,
+VerifyLane run_verify_churn(bool bdd, const topo::Topology& topo,
                             const std::vector<config::NetworkConfig>& sequence) {
-  verify::RealConfigOptions opts;
-  opts.packet_space = kind;
-  verify::RealConfig rc(topo, opts);
+  verify::RealConfig rc(topo);
+  if (bdd) rc.packet_space().migrate_to_bdd();
   VerifyLane lane;
   for (const config::NetworkConfig& cfg : sequence) {
     lane.model_ms += rc.apply(cfg).model_ms;
@@ -154,8 +156,8 @@ int main() {
   double k8_ratio = 0;
   for (const unsigned k : {8u, 12u}) {
     const EcScript script = make_ec_script(k, rounds, routes);
-    const EcLane bdd = run_ec_churn(dpm::BackendKind::kBdd, script);
-    const EcLane interval = run_ec_churn(dpm::BackendKind::kAuto, script);
+    const EcLane bdd = run_ec_churn(true, script);
+    const EcLane interval = run_ec_churn(false, script);
 
     if (bdd.ec_trace != interval.ec_trace || bdd.scan_hits != interval.scan_hits ||
         bdd.witnesses != interval.witnesses) {
@@ -201,8 +203,8 @@ int main() {
       sequence.push_back(cfg);
     }
 
-    const VerifyLane bdd = run_verify_churn(dpm::BackendKind::kBdd, topo, sequence);
-    const VerifyLane interval = run_verify_churn(dpm::BackendKind::kAuto, topo, sequence);
+    const VerifyLane bdd = run_verify_churn(true, topo, sequence);
+    const VerifyLane interval = run_verify_churn(false, topo, sequence);
     if (bdd.pair_trace != interval.pair_trace || bdd.final_ecs != interval.final_ecs) {
       std::fprintf(stderr, "FAIL: backends diverge on the verify-layer churn\n");
       ok = false;

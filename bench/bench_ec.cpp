@@ -18,16 +18,18 @@ net::Ipv4Prefix random_prefix(core::Rng& rng, int lo, int hi) {
   return net::Ipv4Prefix{net::Ipv4Addr{static_cast<std::uint32_t>(rng.next())}, len};
 }
 
-/// Benchmarks taking a backend argument run head-to-head: arg 0 is the BDD
-/// backend, arg 1 a kAuto space, which stays on the interval-atom backend
-/// for these dst-prefix-only workloads (bench_backend records the aggregate
-/// churn ratio in BENCH_backend.json).
-dpm::BackendKind backend_of(std::int64_t arg) {
-  return arg == 0 ? dpm::BackendKind::kBdd : dpm::BackendKind::kAuto;
+/// Benchmarks taking a backend argument run head-to-head: arg 0 moves the
+/// space onto BDDs at construction, arg 1 leaves it on the interval-atom
+/// arena, where these dst-prefix-only workloads stay (bench_backend records
+/// the aggregate churn ratio in BENCH_backend.json).
+dpm::PacketSpace space_for(std::int64_t arg) {
+  dpm::PacketSpace space;
+  if (arg == 0) space.migrate_to_bdd();
+  return space;
 }
 
 void BM_PrefixEncode(benchmark::State& state) {
-  dpm::PacketSpace space(backend_of(state.range(0)));
+  dpm::PacketSpace space = space_for(state.range(0));
   core::Rng rng{1};
   for (auto _ : state) {
     benchmark::DoNotOptimize(space.dst_prefix(random_prefix(rng, 8, 32)));
@@ -36,7 +38,7 @@ void BM_PrefixEncode(benchmark::State& state) {
 BENCHMARK(BM_PrefixEncode)->ArgNames({"backend"})->Arg(0)->Arg(1);
 
 void BM_BddAndOr(benchmark::State& state) {
-  dpm::PacketSpace space;
+  dpm::PacketSpace space = space_for(0);
   core::Rng rng{2};
   std::vector<dpm::BddRef> pool;
   for (int i = 0; i < 256; ++i) pool.push_back(space.dst_prefix(random_prefix(rng, 6, 20)));
@@ -54,7 +56,7 @@ BENCHMARK(BM_BddAndOr);
 /// the scan cost grows — the reason APKeep keeps the EC set minimal.
 void BM_EcRegisterNthPredicate(benchmark::State& state) {
   const int existing = static_cast<int>(state.range(0));
-  dpm::PacketSpace space(backend_of(state.range(1)));
+  dpm::PacketSpace space = space_for(state.range(1));
   dpm::EcManager ecs(space);
   core::Rng rng{3};
   for (int i = 0; i < existing; ++i) {
@@ -77,7 +79,7 @@ BENCHMARK(BM_EcRegisterNthPredicate)
 
 void BM_EcsInScan(benchmark::State& state) {
   const int atoms = static_cast<int>(state.range(0));
-  dpm::PacketSpace space(backend_of(state.range(1)));
+  dpm::PacketSpace space = space_for(state.range(1));
   dpm::EcManager ecs(space);
   for (int i = 0; i < atoms; ++i) {
     ecs.register_predicate(space.dst_prefix(config::host_prefix(static_cast<topo::NodeId>(i))));
@@ -97,7 +99,7 @@ BENCHMARK(BM_EcsInScan)
 
 void BM_AclPermitSetCompile(benchmark::State& state) {
   const int rules = static_cast<int>(state.range(0));
-  dpm::PacketSpace space;
+  dpm::PacketSpace space = space_for(0);
   core::Rng rng{4};
   std::vector<routing::FilterRule> acl;
   for (int i = 0; i < rules; ++i) {
@@ -123,7 +125,7 @@ BENCHMARK(BM_AclPermitSetCompile)->Arg(10)->Arg(100);
 void BM_ModelSingleRuleUpdate(benchmark::State& state) {
   const unsigned devices = 64;
   const unsigned prefixes = 256;
-  dpm::PacketSpace space;
+  dpm::PacketSpace space = space_for(0);
   dpm::EcManager ecs(space);
   dpm::NetworkModel model(space, ecs, devices);
   routing::DataPlaneDelta init;

@@ -63,7 +63,7 @@ Lane run(bool reclaim, unsigned threads, const topo::Topology& topo,
          const std::vector<config::NetworkConfig>& sequence) {
   verify::RealConfigOptions opts;
   opts.threads = threads;
-  opts.reclamation.enabled = reclaim;
+  opts.reclamation = reclaim;
   verify::RealConfig rc(topo, opts);
 
   Lane lane;

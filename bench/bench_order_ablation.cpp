@@ -36,7 +36,7 @@ void run_protocol(const topo::Topology& topo, bool bgp) {
     dpm::EcManager ecs{space};
     dpm::NetworkModel model;
     bench::Stats moves, t1;
-    explicit Lane(std::size_t nodes) : model(space, ecs, nodes) {}
+    explicit Lane(std::size_t nodes) : model(space, ecs, nodes) { space.migrate_to_bdd(); }
   };
   // Lanes are self-referential (model holds references to space/ecs), so
   // they must never relocate: reserve before constructing in place.

@@ -52,15 +52,19 @@ struct Pipelines {
   verify::RealConfig insert_first;
   verify::RealConfig delete_first;
 
-  Pipelines(const topo::Topology& t, dpm::BackendKind backend)
-      : insert_first(t, make_options(dpm::UpdateOrder::kInsertFirst, backend)),
-        delete_first(t, make_options(dpm::UpdateOrder::kDeleteFirst, backend)) {}
+  /// `bdd`: move both pipelines onto BDDs before their first apply.
+  Pipelines(const topo::Topology& t, bool bdd)
+      : insert_first(t, make_options(dpm::UpdateOrder::kInsertFirst)),
+        delete_first(t, make_options(dpm::UpdateOrder::kDeleteFirst)) {
+    if (bdd) {
+      insert_first.packet_space().migrate_to_bdd();
+      delete_first.packet_space().migrate_to_bdd();
+    }
+  }
 
-  static verify::RealConfigOptions make_options(dpm::UpdateOrder order,
-                                                dpm::BackendKind backend) {
+  static verify::RealConfigOptions make_options(dpm::UpdateOrder order) {
     verify::RealConfigOptions o;
     o.update_order = order;
-    o.packet_space = backend;
     o.generator.max_rounds = bench::rounds();
     return o;
   }
@@ -99,13 +103,11 @@ int main() {
   // fat tree registers dst prefixes only, so the interval lane never
   // migrates); the T1 column is where the backends differ.
   ChangeRow t1_reference[2];  // per-backend LinkFailure rows, for the summary
-  for (const dpm::BackendKind backend :
-       {dpm::BackendKind::kBdd, dpm::BackendKind::kAuto}) {
-    const bool interval = backend == dpm::BackendKind::kAuto;
-    std::printf("\n--- packet-space backend: %s ---\n\n", dpm::to_string(backend));
+  for (const bool interval : {false, true}) {
+    std::printf("\n--- packet-space backend: %s ---\n\n", interval ? "interval" : "bdd");
     config::NetworkConfig cfg = config::build_bgp_network(topo);
 
-    Pipelines pipelines(topo, backend);
+    Pipelines pipelines(topo, !interval);
     const verify::RealConfig::Report scratch = pipelines.insert_first.apply(cfg);
     const verify::RealConfig::Report scratch_df = pipelines.delete_first.apply(cfg);
     const std::size_t total_rules = pipelines.insert_first.model().rule_count();

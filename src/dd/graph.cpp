@@ -98,9 +98,7 @@ void Graph::stop_journaling() {
 }
 
 void Graph::note_emitted_delta(const OperatorBase& op, std::size_t delta_hash) {
-  if (!in_commit_ || recurrence_threshold_ == 0) return;
   RecurrenceState& rs = recurrence_[op.id()];
-  if (rs.commit_flushes < recurrence_threshold_) return;
   // Heuristic: a convergent computation keeps producing *new* (shrinking)
   // deltas; an oscillating one cycles through the same few deltas forever.
   // Seeing hashes that already sit in the recent-history ring many times in

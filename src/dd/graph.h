@@ -203,8 +203,13 @@ class Graph {
   /// base and the journals are still on, O(state) otherwise (file header).
   void restore(const GraphSnapshot& snap);
 
+  /// True once `op` has been flushed recurrence_threshold times within the
+  /// running commit: only then does the recurring-state detector read its
+  /// emitted-delta hashes.
+  bool tracks_recurrence(const OperatorBase& op) const noexcept;
   /// Used by operators (inside flush) to report the hash of the delta they
-  /// just emitted, feeding the recurring-state detector.
+  /// just emitted, feeding the recurring-state detector. Call only when
+  /// tracks_recurrence(op).
   void note_emitted_delta(const OperatorBase& op, std::size_t delta_hash);
 
  private:
@@ -241,5 +246,10 @@ class Graph {
 };
 
 inline bool OperatorBase::journaling() const noexcept { return graph_.base_id_ != 0; }
+
+inline bool Graph::tracks_recurrence(const OperatorBase& op) const noexcept {
+  return in_commit_ && recurrence_threshold_ != 0 &&
+         recurrence_[op.id()].commit_flushes >= recurrence_threshold_;
+}
 
 }  // namespace rcfg::dd

@@ -27,12 +27,12 @@ namespace rcfg::dd {
 
 namespace detail {
 
-/// Emit with recurring-state bookkeeping; hashing happens only once the
-/// operator is hot enough for the detector to care.
+/// Emit with recurring-state bookkeeping; the delta is hashed only once the
+/// operator is hot enough for the detector to read the hash.
 template <class T>
 void emit_delta(Graph& graph, OperatorBase& op, Stream<T>& out, const ZSet<T>& delta) {
   if (delta.empty()) return;
-  graph.note_emitted_delta(op, delta.content_hash());
+  if (graph.tracks_recurrence(op)) graph.note_emitted_delta(op, delta.content_hash());
   out.emit(delta);
 }
 

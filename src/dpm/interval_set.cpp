@@ -236,22 +236,4 @@ std::optional<std::vector<bool>> IntervalAtomBackend::pick_one(BddRef a) const {
   return out;
 }
 
-const char* to_string(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kBdd:
-      return "bdd";
-    case BackendKind::kInterval:
-      return "interval";
-    case BackendKind::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
-std::optional<BackendKind> backend_kind_of(std::string_view name) {
-  if (name == "bdd") return BackendKind::kBdd;
-  if (name == "auto") return BackendKind::kAuto;
-  return std::nullopt;
-}
-
 }  // namespace rcfg::dpm

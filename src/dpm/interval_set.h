@@ -1,7 +1,7 @@
 #pragma once
 
-// The Delta-net-style interval-atom backend: packet sets that constrain only
-// the destination address, represented as sorted boundary arrays of
+// The Delta-net-style interval-atom arena every PacketSpace starts on:
+// packet sets that constrain only the destination address, represented as sorted boundary arrays of
 // half-open [lo, hi) ranges over the 32-bit destination space.
 //
 // A destination prefix a.b.c.d/len is exactly one such range
@@ -22,11 +22,11 @@
 //
 // The arena is append-only: handles are never recycled, so a handle stays
 // valid (and keeps denoting the same set) for the life of the PacketSpace —
-// including after a migration to the BDD backend, when retained interval
-// handles (in policy tables, snapshots, provenance) are translated lazily
-// through PacketSpace::canonical(). add_ref/release maintain honest
-// refcounts for parity with the BDD contract, but gc() is a no-op: a set is
-// a few dozen bytes and the reclamation lever that matters stays BDD-side.
+// including after the migration to BDDs, when retained interval handles (in
+// policy tables, snapshots, provenance) are translated lazily through
+// PacketSpace::canonical(). add_ref/release maintain honest refcounts for
+// parity with the BDD contract, but nothing is ever collected: a set is a
+// few dozen bytes and the reclamation lever that matters stays BDD-side.
 
 #include <cstdint>
 #include <optional>
@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "core/hash.h"
-#include "dpm/backend.h"
+#include "dpm/bdd.h"
 #include "net/ipv4.h"
 
 namespace rcfg::dpm {
@@ -46,7 +46,7 @@ inline constexpr bool is_interval_ref(BddRef r) noexcept {
   return (r & kIntervalTag) != 0;
 }
 
-class IntervalAtomBackend final : public PacketSpaceBackend {
+class IntervalAtomBackend {
  public:
   /// A half-open destination-address range [lo, hi), 0 <= lo < hi <= 2^32.
   using Range = std::pair<std::uint64_t, std::uint64_t>;
@@ -55,10 +55,8 @@ class IntervalAtomBackend final : public PacketSpaceBackend {
   /// `var_count` is the full packet-variable width (PacketSpace's
   /// kPacketVars): pick_one() answers assignments over the whole header
   /// space and sat_count() scales by the unconstrained non-dst variables,
-  /// so results are comparable with the BDD backend bit for bit.
+  /// so results are comparable with the BDD manager's bit for bit.
   explicit IntervalAtomBackend(unsigned var_count) : var_count_(var_count) {}
-
-  BackendKind kind() const noexcept override { return BackendKind::kInterval; }
 
   /// The handle for "destination lies in p": a single half-open range.
   BddRef dst_prefix(net::Ipv4Prefix p);
@@ -69,26 +67,24 @@ class IntervalAtomBackend final : public PacketSpaceBackend {
   /// set as a BDD after migration.
   const std::vector<Range>& ranges(BddRef h) const;
 
-  BddRef set_and(BddRef a, BddRef b) override;
-  BddRef set_or(BddRef a, BddRef b) override;
-  BddRef set_diff(BddRef a, BddRef b) override;
-  BddRef set_xor(BddRef a, BddRef b) override;
-  BddRef set_not(BddRef a) override;
+  BddRef set_and(BddRef a, BddRef b);
+  BddRef set_or(BddRef a, BddRef b);
+  BddRef set_diff(BddRef a, BddRef b);
+  BddRef set_xor(BddRef a, BddRef b);
+  BddRef set_not(BddRef a);
 
-  bool disjoint(BddRef a, BddRef b) override;
-  bool implies(BddRef a, BddRef b) override;
+  bool disjoint(BddRef a, BddRef b);
+  bool implies(BddRef a, BddRef b);
 
-  void add_ref(BddRef a) noexcept override;
-  void release(BddRef a) noexcept override;
-  std::size_t gc() override { return 0; }  // append-only arena; see header
+  void add_ref(BddRef a) noexcept;
+  void release(BddRef a) noexcept;
   std::uint32_t ref_count(BddRef a) const noexcept;
 
-  double sat_count(BddRef a) override;
-  std::optional<std::vector<bool>> pick_one(BddRef a) const override;
+  double sat_count(BddRef a);
+  std::optional<std::vector<bool>> pick_one(BddRef a) const;
 
   /// Distinct sets interned so far (terminals excluded).
   std::size_t set_count() const noexcept { return sets_.size(); }
-  std::size_t live_nodes() const noexcept override { return sets_.size(); }
 
   /// Total addresses covered (exact; <= 2^32).
   std::uint64_t address_count(BddRef a) const;

@@ -5,33 +5,11 @@
 
 namespace rcfg::dpm {
 
-namespace {
-
-PacketSpaceBackend* pick_active(BackendKind kind, IntervalAtomBackend& interval,
-                                BddSetBackend& bdd) {
-  // kAuto starts fast on interval atoms and migrates on demand (see
-  // backend.h); kBdd pins the historical path.
-  return kind == BackendKind::kBdd ? static_cast<PacketSpaceBackend*>(&bdd)
-                                   : static_cast<PacketSpaceBackend*>(&interval);
-}
-
-}  // namespace
-
-PacketSpace::PacketSpace(BackendKind kind)
-    : bdd_(kPacketVars),
-      interval_(kPacketVars),
-      bdd_backend_(&bdd_),
-      active_(pick_active(kind, interval_, bdd_backend_)),
-      requested_(kind) {}
+PacketSpace::PacketSpace() : bdd_(kPacketVars), interval_(kPacketVars) {}
 
 PacketSpace::PacketSpace(const PacketSpace& other)
     : bdd_(other.bdd_),
       interval_(other.interval_),
-      bdd_backend_(&bdd_),
-      active_(other.active_backend() == BackendKind::kBdd
-                  ? static_cast<PacketSpaceBackend*>(&bdd_backend_)
-                  : static_cast<PacketSpaceBackend*>(&interval_)),
-      requested_(other.requested_),
       migrated_(other.migrated_),
       interval_to_bdd_(other.interval_to_bdd_) {
   // migration_listeners_ deliberately left empty — see the header.
@@ -41,11 +19,6 @@ PacketSpace& PacketSpace::operator=(const PacketSpace& other) {
   if (this == &other) return *this;
   bdd_ = other.bdd_;
   interval_ = other.interval_;
-  bdd_backend_.reseat(&bdd_);
-  active_ = other.active_backend() == BackendKind::kBdd
-                ? static_cast<PacketSpaceBackend*>(&bdd_backend_)
-                : static_cast<PacketSpaceBackend*>(&interval_);
-  requested_ = other.requested_;
   migrated_ = other.migrated_;
   interval_to_bdd_ = other.interval_to_bdd_;
   // Own migration_listeners_ kept: a restore rewinds set state, not the
@@ -58,16 +31,11 @@ void PacketSpace::subscribe_migration(std::function<void()> listener) {
 }
 
 void PacketSpace::migrate_to_bdd() {
-  if (active_->kind() == BackendKind::kBdd) return;
-  active_ = &bdd_backend_;
+  if (migrated_) return;
   migrated_ = true;
-  // Listeners fire with the BDD backend already active so they can rekey
-  // their tables through canonical().
+  // Listeners fire with BDDs already active so they can rekey their tables
+  // through canonical().
   for (const auto& listener : migration_listeners_) listener();
-}
-
-void PacketSpace::require_bdd() {
-  if (interval_active()) migrate_to_bdd();
 }
 
 BddRef PacketSpace::canonical(BddRef r) {
@@ -97,7 +65,7 @@ BddRef PacketSpace::ip_prefix(unsigned base, net::Ipv4Prefix p) {
 bool PacketSpace::depends_on(BddRef a, unsigned lo, unsigned hi) {
   const BddRef c = canonical(a);
   if (c == kBddFalse || c == kBddTrue) return false;
-  if (interval_active()) {
+  if (!migrated_) {
     // Interval sets are unions of dst-address ranges: a non-trivial handle
     // depends on dst bits and nothing else.
     return lo < kDstIpBase + 32 && hi > kDstIpBase;
@@ -106,19 +74,19 @@ bool PacketSpace::depends_on(BddRef a, unsigned lo, unsigned hi) {
 }
 
 BddRef PacketSpace::dst_prefix(net::Ipv4Prefix p) {
-  if (interval_active()) return interval_.dst_prefix(p);
+  if (!migrated_) return interval_.dst_prefix(p);
   return ip_prefix(kDstIpBase, p);
 }
 
 BddRef PacketSpace::src_prefix(net::Ipv4Prefix p) {
   if (p.length() == 0) return kBddTrue;
-  require_bdd();
+  migrate_to_bdd();
   return ip_prefix(kSrcIpBase, p);
 }
 
 BddRef PacketSpace::proto(config::IpProto proto) {
   if (proto == config::IpProto::kAny) return kBddTrue;
-  require_bdd();
+  migrate_to_bdd();
   switch (proto) {
     case config::IpProto::kAny:
       return kBddTrue;
@@ -163,14 +131,14 @@ BddRef PacketSpace::uint_range(unsigned base, unsigned bits, std::uint32_t lo, s
 BddRef PacketSpace::src_port_range(std::uint16_t lo, std::uint16_t hi) {
   if (lo > hi) return kBddFalse;
   if (lo == 0 && hi == 0xFFFF) return kBddTrue;
-  require_bdd();
+  migrate_to_bdd();
   return uint_range(kSrcPortBase, 16, lo, hi);
 }
 
 BddRef PacketSpace::dst_port_range(std::uint16_t lo, std::uint16_t hi) {
   if (lo > hi) return kBddFalse;
   if (lo == 0 && hi == 0xFFFF) return kBddTrue;
-  require_bdd();
+  migrate_to_bdd();
   return uint_range(kDstPortBase, 16, lo, hi);
 }
 
@@ -179,7 +147,7 @@ BddRef PacketSpace::filter_match(const routing::FilterRule& rule) {
   // trigger (even a dst-only rule migrates: detecting triviality here would
   // make the migration point depend on rule contents, and the differential
   // harness wants it deterministic per feature, not per value).
-  require_bdd();
+  migrate_to_bdd();
   BddRef m = dst_prefix(rule.dst);
   m = bdd_.bdd_and(m, src_prefix(rule.src));
   m = bdd_.bdd_and(m, proto(static_cast<config::IpProto>(rule.proto)));
@@ -189,7 +157,7 @@ BddRef PacketSpace::filter_match(const routing::FilterRule& rule) {
 }
 
 BddRef PacketSpace::acl_permit_set(const std::vector<routing::FilterRule>& rules) {
-  require_bdd();
+  migrate_to_bdd();
   BddRef permit = kBddFalse;
   BddRef remaining = kBddTrue;  // packets not matched by earlier rules
   for (const routing::FilterRule& r : rules) {

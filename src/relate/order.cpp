@@ -61,7 +61,7 @@ OrderResult UpdateOrderSynthesizer::synthesize(const std::vector<UpdateStep>& st
   // synthesizer composes with sharded callers.
   verify::RealConfigOptions opts = base_.options();
   opts.threads = 1;
-  opts.reclamation.enabled = false;
+  opts.reclamation = false;
   opts.provenance = false;
   std::unique_ptr<verify::RealConfig> replica = base_.fork(*base_snap, opts);
   result.snapshot_ms = ms_between(t0, std::chrono::steady_clock::now());

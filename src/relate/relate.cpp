@@ -105,7 +105,7 @@ RelationalResult RelationalChecker::check(const config::NetworkConfig& proposed,
   // could merge across base-EC ancestry boundaries, severing base_of_.
   verify::RealConfigOptions opts = base_.options();
   opts.threads = 1;
-  opts.reclamation.enabled = false;
+  opts.reclamation = false;
   opts.provenance = false;
   changed_ = base_.fork(*snap, opts);
   const auto t2 = std::chrono::steady_clock::now();

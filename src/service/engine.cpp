@@ -442,21 +442,21 @@ void Engine::acknowledge_(Slot& slot, ReplicaEffect effect) {
     metrics_.replica_resyncs.inc(slot.lanes.size());
   }
 
-  // Backlog squash: a lane about to exceed lane_resync_backlog pending
+  // Backlog squash: a lane about to exceed kLaneResyncBacklog pending
   // deltas gets a snapshot resync instead of yet another delta to replay —
   // its whole backlog collapses into one fork of the current primary state.
   // Backlog sizes are lane state (mutated by read workers), so peek under
   // the lock, fork outside it, install below. A lane that drains in between
   // just takes a cheap redundant resync.
   std::vector<std::unique_ptr<Session>> squashes(slot.lanes.size());
-  if (options_.lane_resync_backlog > 0 && slot.session != nullptr &&
+  if (slot.session != nullptr &&
       effect.kind != ReplicaDelta::Kind::kResync && !slot.lanes.empty()) {
     std::vector<std::size_t> behind;
     {
       const std::lock_guard<std::mutex> lock(mu_);
       for (std::size_t i = 0; i < slot.lanes.size(); ++i) {
         const ReplicaLane& lane = *slot.lanes[i];
-        if (!lane.broken && lane.deltas.size() + 1 >= options_.lane_resync_backlog) {
+        if (!lane.broken && lane.deltas.size() + 1 >= kLaneResyncBacklog) {
           behind.push_back(i);
         }
       }

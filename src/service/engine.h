@@ -35,7 +35,7 @@
 //   lane instead of being paid by all of them. Mutations stay on the
 //   primary; after the primary acknowledges each request it advances the
 //   session's epoch and enqueues one ReplicaDelta per lane (kNoop for
-//   non-mutating verbs). A lane whose backlog reaches lane_resync_backlog
+//   non-mutating verbs). A lane whose backlog reaches kLaneResyncBacklog
 //   is squashed: the backlog is replaced by one snapshot resync, so a
 //   lagging lane costs a fork per backlog rather than a replay per
 //   mutation.
@@ -91,14 +91,15 @@ struct EngineOptions {
   /// Answer "backpressure: session queue full" instead of blocking the
   /// submitter when a queue is at capacity.
   bool reject_on_full = false;
-  /// Collapse a replica lane's pending-delta backlog into one snapshot
-  /// resync once it reaches this many deltas (0 = never). Under write
-  /// saturation a lane that cannot keep up would otherwise replay every
-  /// mutation — N lanes multiply verification work N-fold; squashing caps a
-  /// lagging lane's cost at one fork per `lane_resync_backlog` mutations
-  /// and bounds its backlog memory.
-  std::size_t lane_resync_backlog = 8;
 };
+
+/// A replica lane's pending-delta backlog collapses into one snapshot
+/// resync once it reaches this many deltas. Under write saturation a lane
+/// that cannot keep up would otherwise replay every mutation — N lanes
+/// multiply verification work N-fold; squashing caps a lagging lane's cost
+/// at one fork per kLaneResyncBacklog mutations and bounds its backlog
+/// memory.
+inline constexpr std::size_t kLaneResyncBacklog = 8;
 
 class Engine {
  public:

@@ -92,9 +92,7 @@ SessionOptions parse_options(const json::Value& doc) {
   if (opts.replicas > kMaxReplicas) {
     throw ProtocolError("'replicas' must be <= " + std::to_string(kMaxReplicas));
   }
-  opts.verifier.reclamation.enabled = doc.get_bool("reclaim", false);
-  opts.verifier.reclamation.ec_watermark = get_unsigned<std::size_t>(doc, "ec_watermark");
-  opts.verifier.reclamation.bdd_watermark = get_unsigned<std::size_t>(doc, "bdd_watermark");
+  opts.verifier.reclamation = doc.get_bool("reclaim", false);
   const std::string order = doc.get_string("update_order");
   if (order == "insert_first" || order.empty()) {
     opts.verifier.update_order = dpm::UpdateOrder::kInsertFirst;
@@ -104,15 +102,6 @@ SessionOptions parse_options(const json::Value& doc) {
     opts.verifier.update_order = dpm::UpdateOrder::kInterleaved;
   } else {
     throw ProtocolError("unknown update_order: '" + order + "'");
-  }
-  const std::string backend = doc.get_string("packet_space");
-  if (!backend.empty()) {
-    const auto kind = dpm::backend_kind_of(backend);
-    if (!kind) {
-      throw ProtocolError("unknown packet_space: '" + backend +
-                          "' (expected auto | bdd)");
-    }
-    opts.verifier.packet_space = *kind;
   }
   return opts;
 }

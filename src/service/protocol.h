@@ -21,10 +21,6 @@
 //                                           + BDD GC after each check); verdicts
 //                                           and pair results unaffected, EC ids
 //                                           in later reports renumbered by merges
-//                 "ec_watermark":N          defer reclamation until the EC
-//                                           partition exceeds N atoms (0 = eager)
-//                 "bdd_watermark":N         defer BDD GC until the manager
-//                                           exceeds N live nodes (0 = eager)
 //                 "replicas":N              read replicas forked off the
 //                                           session (<= 16). query/explain/
 //                                           relate fan out round-robin across
@@ -33,6 +29,9 @@
 //                                           engine.h). Replica answers are
 //                                           bit-identical to the primary's at
 //                                           the same acknowledged epoch.
+//               Retired keys, ignored like any other unknown key:
+//               "flush_budget", "recurrence_threshold", "packet_space",
+//               "ec_watermark", "bdd_watermark".
 //   propose     {"session", "config"}          config = the DSL text of the
 //                                              *whole* intended network
 //   commit      {"session"}

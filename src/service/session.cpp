@@ -17,7 +17,7 @@ Session::Session(std::string name, topo::Topology topology, config::NetworkConfi
   committed_ = std::move(initial);
   baseline_report_ = rc_->apply(committed_);
   if (options_.trace) {
-    log_ = std::make_unique<::rcfg::explain::ProvenanceLog>(options_.trace_capacity);
+    log_ = std::make_unique<::rcfg::explain::ProvenanceLog>(kTraceCapacity);
     record_("open", committed_, committed_, baseline_report_);
   }
 }

@@ -49,13 +49,15 @@ struct PolicySpec {
   net::Ipv4Prefix prefix;
 };
 
+/// Provenance ring size of a traced session: the batches `explain` can name.
+inline constexpr std::size_t kTraceCapacity = 32;
+
 struct SessionOptions {
   verify::RealConfigOptions verifier;
   /// Record per-batch provenance (config diff → rule delta → EC moves →
   /// verdict flips) for the `explain` verb. Pay-as-you-go: off (the
   /// default) means zero recording overhead on every batch.
   bool trace = false;
-  std::size_t trace_capacity = 32;  ///< provenance ring size (trace only)
   /// Read replicas forked off the session at open (engine-managed): queries
   /// fan out across them while mutations stream deltas from the primary.
   /// 0 (the default) keeps the single-verifier path.

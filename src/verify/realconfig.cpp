@@ -15,7 +15,6 @@ RealConfig::RealConfig(const topo::Topology& topo, RealConfigOptions options)
     : topo_(topo),
       options_(options),
       generator_(topo, options.generator),
-      space_(options.packet_space),
       ecs_(space_),
       model_(space_, ecs_, topo.node_count()),
       checker_(topo, space_, ecs_, model_, CheckerOptions{options.threads}) {
@@ -35,7 +34,7 @@ RealConfig::Report RealConfig::apply(const config::NetworkConfig& cfg) {
   report.generate_ms = ms_between(t0, t1);
   report.model_ms = ms_between(t1, t2);
   report.check_ms = ms_between(t2, t3);
-  if (options_.reclamation.enabled) maybe_reclaim(report);
+  if (options_.reclamation) maybe_reclaim(report);
   report.ec_count = ecs_.ec_count();
   report.bdd_nodes = space_.live_nodes();
   return report;
@@ -49,17 +48,14 @@ void RealConfig::maybe_reclaim(Report& report) {
   // Merging is only worth attempting after a predicate fully dropped —
   // register_predicate() splits from an already-minimal partition, so
   // growth without drops never creates mergeable atoms.
-  const bool merge_due = ecs_.dropped_since_compact() > 0 &&
-                         ecs_now > options_.reclamation.ec_watermark;
-  const bool gc_due = nodes_now > options_.reclamation.bdd_watermark;
-  if (!merge_due && !gc_due) return;
+  const bool merge_due = ecs_.dropped_since_compact() > 0;
+  // An interval arena that interned nothing yet has nothing to sweep.
+  if (!merge_due && nodes_now == 0) return;
   r.ran = true;
   r.ecs_before = ecs_now;
   r.bdd_before = nodes_now;
   if (merge_due) r.remap = ecs_.compact();
-  // A merge released the dead atoms' roots, so always sweep after one;
-  // otherwise sweep only when the node watermark tripped.
-  if (gc_due || r.remap.has_value()) space_.gc();
+  space_.gc();
   r.ecs_after = ecs_.ec_count();
   r.bdd_after = space_.live_nodes();
   r.reclaim_ms = ms_between(t0, std::chrono::steady_clock::now());

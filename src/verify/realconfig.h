@@ -36,13 +36,6 @@ namespace rcfg::verify {
 struct RealConfigOptions {
   dpm::UpdateOrder update_order = dpm::UpdateOrder::kInsertFirst;
   routing::GeneratorOptions generator;
-  /// Packet-space backend (see dpm/backend.h). kAuto — the default — starts
-  /// on the interval-atom backend (an order of magnitude faster on the
-  /// prefix-only churn that dominates real workloads) and migrates to BDDs
-  /// once on the first multi-field predicate; kBdd pins the historical
-  /// all-BDD path. EC ids, verdicts, and witnesses are bit-identical across
-  /// both — the differential fuzz harness holds the backends to that.
-  dpm::BackendKind packet_space = dpm::BackendKind::kAuto;
   /// Checker worker-pool width (stage 3 shards the affected-EC set).
   /// 1 (the default) is the historical single-threaded path; any value
   /// produces bit-identical reports — see CheckerOptions::threads.
@@ -53,20 +46,12 @@ struct RealConfigOptions {
   bool provenance = false;
   /// Online memory reclamation for long-lived sessions (see DESIGN.md
   /// "Memory reclamation"). When enabled, apply() runs a reclaim step
-  /// after the check phase: merge ECs that predicate withdrawals left
-  /// indistinguishable (fanned out as an EcRemap), then garbage-collect
-  /// unrooted BDD nodes. Policy verdicts and pair-level results are
-  /// unaffected; EC *ids* in subsequent reports are renumbered by merges.
-  struct ReclamationOptions {
-    bool enabled = false;
-    /// Merge only once the partition exceeds this many ECs (0 = merge on
-    /// every apply that fully dropped a predicate).
-    std::size_t ec_watermark = 0;
-    /// GC only once the BDD manager exceeds this many live nodes
-    /// (0 = collect on every reclaim).
-    std::size_t bdd_watermark = 0;
-  };
-  ReclamationOptions reclamation;
+  /// after the check phase of every batch: merge ECs that predicate
+  /// withdrawals left indistinguishable (fanned out as an EcRemap), then
+  /// garbage-collect unrooted BDD nodes. Policy verdicts and pair-level
+  /// results are unaffected; EC *ids* in subsequent reports are renumbered
+  /// by merges.
+  bool reclamation = false;
 };
 
 class RealConfig {
@@ -175,8 +160,8 @@ class RealConfig {
 
  private:
   topo::NodeId node_or_throw(const std::string& name) const;
-  /// The post-check reclaim step (no-op unless options_.reclamation.enabled
-  /// and a watermark tripped). Fills report.reclaim.
+  /// The post-check reclaim step (run only with options_.reclamation).
+  /// Fills report.reclaim.
   void maybe_reclaim(Report& report);
 
   const topo::Topology& topo_;

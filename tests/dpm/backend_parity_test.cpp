@@ -3,13 +3,15 @@
 // sequences, same EC ids, same membership answers, same remaps — and the
 // interval backend's own set algebra must agree with the BDD oracle on
 // every operation. The parameterized fixture replays identical scripts on
-// a reference kBdd stack and the backend under test; the interval-specific
+// a reference stack moved onto BDDs at construction and on a stack started
+// either the same way or on interval atoms; the interval-specific
 // tests pin the edge cases (/0, /32, adjacent-range coalescing, minimal
 // witnesses) that the shared scripts could miss.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "core/rng.h"
@@ -46,18 +48,33 @@ std::vector<net::Ipv4Prefix> script_prefixes() {
           pfx("192.168.1.0/24"), pfx("10.1.0.0/16"),  pfx("172.16.0.0/12")};
 }
 
-class BackendParity : public ::testing::TestWithParam<BackendKind> {};
+/// How the stack under test starts. The byte values are what gtest prints
+/// for each instance's parameter, so they keep the instance ids stable.
+enum class Start : std::uint8_t { kBdd = 0, kInterval = 2 };
 
-// The requestable kinds only: PacketSpace(kInterval) behaves as kAuto, so
-// an interval instance would repeat the auto one.
+/// A space already on BDDs: the reference representation.
+PacketSpace bdd_space() {
+  PacketSpace s;
+  s.migrate_to_bdd();
+  return s;
+}
+
+PacketSpace space_for(Start start) {
+  return start == Start::kBdd ? bdd_space() : PacketSpace();
+}
+
+class BackendParity : public ::testing::TestWithParam<Start> {};
+
 INSTANTIATE_TEST_SUITE_P(Backends, BackendParity,
-                         ::testing::Values(BackendKind::kBdd, BackendKind::kAuto),
-                         [](const auto& info) { return to_string(info.param); });
+                         ::testing::Values(Start::kBdd, Start::kInterval),
+                         [](const auto& info) {
+                           return info.param == Start::kBdd ? "bdd" : "auto";
+                         });
 
 TEST_P(BackendParity, RegisterSplitsAreBitIdentical) {
-  PacketSpace ref_space;  // kBdd reference
+  PacketSpace ref_space = bdd_space();
   EcManager ref(ref_space);
-  PacketSpace space(GetParam());
+  PacketSpace space = space_for(GetParam());
   EcManager ecs(space);
 
   for (const net::Ipv4Prefix& p : script_prefixes()) {
@@ -79,9 +96,9 @@ TEST_P(BackendParity, RegisterSplitsAreBitIdentical) {
 }
 
 TEST_P(BackendParity, EcOfAgreesWithReference) {
-  PacketSpace ref_space;
+  PacketSpace ref_space = bdd_space();
   EcManager ref(ref_space);
-  PacketSpace space(GetParam());
+  PacketSpace space = space_for(GetParam());
   EcManager ecs(space);
   for (const net::Ipv4Prefix& p : script_prefixes()) {
     ref.register_predicate(ref_space.dst_prefix(p));
@@ -95,9 +112,9 @@ TEST_P(BackendParity, EcOfAgreesWithReference) {
 }
 
 TEST_P(BackendParity, UnregisterCompactRemapsIdentically) {
-  PacketSpace ref_space;
+  PacketSpace ref_space = bdd_space();
   EcManager ref(ref_space);
-  PacketSpace space(GetParam());
+  PacketSpace space = space_for(GetParam());
   EcManager ecs(space);
   const auto script = script_prefixes();
   for (const net::Ipv4Prefix& p : script) {
@@ -134,7 +151,7 @@ TEST_P(BackendParity, UnregisterCompactRemapsIdentically) {
 }
 
 TEST_P(BackendParity, SnapshotRestoreRoundTrips) {
-  PacketSpace space(GetParam());
+  PacketSpace space = space_for(GetParam());
   EcManager ecs(space);
   ecs.register_predicate(space.dst_prefix(pfx("10.0.0.0/8")));
   ecs.register_predicate(space.dst_prefix(pfx("10.1.0.0/16")));
@@ -159,9 +176,9 @@ TEST_P(BackendParity, SnapshotRestoreRoundTrips) {
 }
 
 TEST_P(BackendParity, WitnessAndCountsMatchReference) {
-  PacketSpace ref_space;
+  PacketSpace ref_space = bdd_space();
   EcManager ref(ref_space);
-  PacketSpace space(GetParam());
+  PacketSpace space = space_for(GetParam());
   EcManager ecs(space);
   for (const net::Ipv4Prefix& p : script_prefixes()) {
     ref.register_predicate(ref_space.dst_prefix(p));
@@ -178,9 +195,9 @@ TEST_P(BackendParity, WitnessAndCountsMatchReference) {
 
 TEST_P(BackendParity, RandomScriptsStayBitIdentical) {
   core::Rng rng{0xBACC0000u + static_cast<unsigned>(GetParam())};
-  PacketSpace ref_space;
+  PacketSpace ref_space = bdd_space();
   EcManager ref(ref_space);
-  PacketSpace space(GetParam());
+  PacketSpace space = space_for(GetParam());
   EcManager ecs(space);
   std::vector<net::Ipv4Prefix> live;
   for (int step = 0; step < 120; ++step) {
@@ -218,9 +235,8 @@ TEST_P(BackendParity, RandomScriptsStayBitIdentical) {
 // ---- interval-backend specifics -------------------------------------------
 
 TEST(IntervalBackend, TerminalAndTaggedHandles) {
-  PacketSpace s(BackendKind::kAuto);
+  PacketSpace s;
   EXPECT_EQ(s.active_backend(), BackendKind::kInterval);
-  EXPECT_EQ(s.requested_backend(), BackendKind::kAuto);
   // /0 is the whole space: the shared true terminal, not an arena entry.
   EXPECT_EQ(s.dst_prefix(pfx("0.0.0.0/0")), kBddTrue);
   const BddRef p = s.dst_prefix(pfx("10.0.0.0/8"));
@@ -230,11 +246,11 @@ TEST(IntervalBackend, TerminalAndTaggedHandles) {
 }
 
 TEST(IntervalBackend, Slash32IsOneAddress) {
-  PacketSpace s(BackendKind::kAuto);
+  PacketSpace s;
   const BddRef p = s.dst_prefix(pfx("10.1.2.3/32"));
   EXPECT_EQ(s.interval().address_count(p), 1u);
   // One dst address x 2^66 free non-dst variable assignments.
-  PacketSpace b;  // BDD reference
+  PacketSpace b = bdd_space();
   EXPECT_EQ(s.sat_count(p), b.sat_count(b.dst_prefix(pfx("10.1.2.3/32"))));
   const auto w = s.pick_one(p);
   ASSERT_TRUE(w.has_value());
@@ -242,7 +258,7 @@ TEST(IntervalBackend, Slash32IsOneAddress) {
 }
 
 TEST(IntervalBackend, AdjacentRangesCoalesce) {
-  PacketSpace s(BackendKind::kAuto);
+  PacketSpace s;
   const BddRef lo = s.dst_prefix(pfx("10.0.0.0/25"));
   const BddRef hi = s.dst_prefix(pfx("10.0.0.128/25"));
   // The union of two adjacent halves IS the covering /24 — same handle,
@@ -256,7 +272,7 @@ TEST(IntervalBackend, AdjacentRangesCoalesce) {
 }
 
 TEST(IntervalBackend, ImpliesAndDisjointEdgeCases) {
-  PacketSpace s(BackendKind::kAuto);
+  PacketSpace s;
   const BddRef p24a = s.dst_prefix(pfx("10.0.0.0/24"));
   const BddRef p24b = s.dst_prefix(pfx("10.0.1.0/24"));  // adjacent, disjoint
   const BddRef p23 = s.dst_prefix(pfx("10.0.0.0/23"));   // their union
@@ -277,8 +293,8 @@ TEST(IntervalBackend, ImpliesAndDisjointEdgeCases) {
 
 TEST(IntervalBackend, RandomSetAlgebraMatchesBddOracle) {
   core::Rng rng{0x1A7e57};
-  PacketSpace iv(BackendKind::kAuto);
-  PacketSpace bd;  // kBdd
+  PacketSpace iv;
+  PacketSpace bd = bdd_space();
   // Build matched pools of random sets via identical op sequences, then
   // compare every observable: implies/disjoint matrices, sat counts,
   // minimal witnesses.
@@ -311,7 +327,7 @@ TEST(IntervalBackend, RandomSetAlgebraMatchesBddOracle) {
 }
 
 TEST(IntervalBackend, RefcountsAreHonest) {
-  PacketSpace s(BackendKind::kAuto);
+  PacketSpace s;
   const BddRef p = s.dst_prefix(pfx("10.0.0.0/8"));
   EXPECT_EQ(s.interval().ref_count(p), 0u);
   s.add_ref(p);
@@ -334,7 +350,7 @@ TEST(IntervalBackend, RefcountsAreHonest) {
 TEST(BackendMigration, MultiFieldEncodersTriggerOnce) {
   int fired = 0;
   {
-    PacketSpace s(BackendKind::kAuto);
+    PacketSpace s;
     s.subscribe_migration([&] { ++fired; });
     ASSERT_EQ(s.active_backend(), BackendKind::kInterval);
     // Trivial non-dst fields do NOT migrate.
@@ -356,7 +372,7 @@ TEST(BackendMigration, MultiFieldEncodersTriggerOnce) {
   }
   // Each trigger kind migrates a fresh space.
   for (int kind = 0; kind < 3; ++kind) {
-    PacketSpace s(BackendKind::kAuto);
+    PacketSpace s;
     switch (kind) {
       case 0: s.proto(config::IpProto::kUdp); break;
       case 1: s.src_port_range(1024, 2048); break;
@@ -371,7 +387,7 @@ TEST(BackendMigration, MultiFieldEncodersTriggerOnce) {
 }
 
 TEST(BackendMigration, EcIdsAndAnswersSurviveMigration) {
-  PacketSpace s(BackendKind::kAuto);
+  PacketSpace s;
   EcManager ecs(s);
   for (const net::Ipv4Prefix& p : script_prefixes()) {
     ecs.register_predicate(s.dst_prefix(p));
@@ -413,20 +429,20 @@ TEST(BackendMigration, EcIdsAndAnswersSurviveMigration) {
 }
 
 TEST(BackendMigration, CompactAfterMigrationMatchesAllBddRun) {
-  const auto run = [](BackendKind kind) {
-    PacketSpace s(kind);
+  const auto run = [](Start start) {
+    PacketSpace s = space_for(start);
     EcManager ecs(s);
     const auto script = script_prefixes();
     for (const net::Ipv4Prefix& p : script) ecs.register_predicate(s.dst_prefix(p));
-    s.migrate_to_bdd();  // no-op for kBdd
+    s.migrate_to_bdd();  // no-op for Start::kBdd
     for (std::size_t i = 0; i < script.size(); i += 2) {
       ecs.unregister_predicate(s.dst_prefix(script[i]));
     }
     const auto remap = ecs.compact();
     return std::make_pair(remap, ecs.ec_count());
   };
-  const auto [remap_bdd, count_bdd] = run(BackendKind::kBdd);
-  const auto [remap_auto, count_auto] = run(BackendKind::kAuto);
+  const auto [remap_bdd, count_bdd] = run(Start::kBdd);
+  const auto [remap_auto, count_auto] = run(Start::kInterval);
   ASSERT_EQ(remap_auto.has_value(), remap_bdd.has_value());
   if (remap_auto) {
     EXPECT_EQ(remap_auto->forward, remap_bdd->forward);
@@ -436,7 +452,7 @@ TEST(BackendMigration, CompactAfterMigrationMatchesAllBddRun) {
 }
 
 TEST(BackendMigration, CopiesDropMigrationSubscriptions) {
-  PacketSpace original(BackendKind::kAuto);
+  PacketSpace original;
   int fired = 0;
   original.subscribe_migration([&] { ++fired; });
   original.dst_prefix(pfx("10.0.0.0/8"));
@@ -454,7 +470,7 @@ TEST(BackendMigration, CopiesDropMigrationSubscriptions) {
   // own subscription stays wired and fires on a later live migration.
   original = copy;
   EXPECT_TRUE(original.migrated());  // snapshot state carried over
-  PacketSpace fresh(BackendKind::kAuto);
+  PacketSpace fresh;
   int fresh_fired = 0;
   fresh.subscribe_migration([&] { ++fresh_fired; });
   original = fresh;  // rewind to a pre-migration state

@@ -27,6 +27,7 @@ void check_partition(PacketSpace& s, const EcManager& ecs) {
 
 TEST(EcManager, StartsWithOneUniversalEc) {
   PacketSpace s;
+  s.migrate_to_bdd();
   EcManager ecs(s);
   EXPECT_EQ(ecs.ec_count(), 1u);
   EXPECT_EQ(ecs.ec_bdd(0), kBddTrue);
@@ -34,6 +35,7 @@ TEST(EcManager, StartsWithOneUniversalEc) {
 
 TEST(EcManager, FirstPredicateSplitsInTwo) {
   PacketSpace s;
+  s.migrate_to_bdd();
   EcManager ecs(s);
   const BddRef p = s.dst_prefix(pfx("10.0.0.0/8"));
   const auto splits = ecs.register_predicate(p);
@@ -48,6 +50,7 @@ TEST(EcManager, FirstPredicateSplitsInTwo) {
 
 TEST(EcManager, DuplicateRegistrationNoSplit) {
   PacketSpace s;
+  s.migrate_to_bdd();
   EcManager ecs(s);
   const BddRef p = s.dst_prefix(pfx("10.0.0.0/8"));
   ecs.register_predicate(p);
@@ -58,6 +61,7 @@ TEST(EcManager, DuplicateRegistrationNoSplit) {
 TEST(EcManager, DisjointPrefixesGrowLinearly) {
   // APKeep's headline property: n disjoint prefixes => n+1 atoms, not 2^n.
   PacketSpace s;
+  s.migrate_to_bdd();
   EcManager ecs(s);
   for (unsigned i = 0; i < 16; ++i) {
     ecs.register_predicate(s.dst_prefix(net::Ipv4Prefix{net::Ipv4Addr{10, 0, (uint8_t)i, 0}, 24}));
@@ -68,6 +72,7 @@ TEST(EcManager, DisjointPrefixesGrowLinearly) {
 
 TEST(EcManager, NestedPrefixesSplitCorrectly) {
   PacketSpace s;
+  s.migrate_to_bdd();
   EcManager ecs(s);
   ecs.register_predicate(s.dst_prefix(pfx("10.0.0.0/8")));
   ecs.register_predicate(s.dst_prefix(pfx("10.1.0.0/16")));
@@ -78,6 +83,7 @@ TEST(EcManager, NestedPrefixesSplitCorrectly) {
 
 TEST(EcManager, EcsInRequiresContainment) {
   PacketSpace s;
+  s.migrate_to_bdd();
   EcManager ecs(s);
   const BddRef p8 = s.dst_prefix(pfx("10.0.0.0/8"));
   const BddRef p16 = s.dst_prefix(pfx("10.1.0.0/16"));
@@ -94,6 +100,7 @@ TEST(EcManager, EcsInRequiresContainment) {
 
 TEST(EcManager, EcOfFindsTheAtom) {
   PacketSpace s;
+  s.migrate_to_bdd();
   EcManager ecs(s);
   const BddRef p = s.dst_prefix(pfx("10.0.0.0/8"));
   ecs.register_predicate(p);
@@ -105,6 +112,7 @@ TEST(EcManager, EcOfFindsTheAtom) {
 
 TEST(EcManager, CompactRebuildsMinimalPartition) {
   PacketSpace s;
+  s.migrate_to_bdd();
   EcManager ecs(s);
   const BddRef a = s.dst_prefix(pfx("10.0.0.0/8"));
   const BddRef b = s.dst_prefix(pfx("20.0.0.0/8"));
@@ -119,6 +127,7 @@ TEST(EcManager, CompactRebuildsMinimalPartition) {
 
 TEST(EcManager, RefcountLifecycle) {
   PacketSpace s;
+  s.migrate_to_bdd();
   EcManager ecs(s);
   const BddRef p = s.dst_prefix(pfx("10.0.0.0/8"));
   EXPECT_EQ(ecs.predicate_refs(p), 0u);
@@ -141,6 +150,7 @@ TEST(EcManager, RefcountLifecycle) {
 
 TEST(EcManager, TrivialPredicatesAreNeverTracked) {
   PacketSpace s;
+  s.migrate_to_bdd();
   EcManager ecs(s);
   EXPECT_TRUE(ecs.register_predicate(kBddTrue).empty());
   EXPECT_TRUE(ecs.register_predicate(kBddFalse).empty());
@@ -152,6 +162,7 @@ TEST(EcManager, TrivialPredicatesAreNeverTracked) {
 
 TEST(EcManagerDeathTest, UnknownUnregisterAssertsAndCounts) {
   PacketSpace s;
+  s.migrate_to_bdd();
   EcManager ecs(s);
   const BddRef p = s.dst_prefix(pfx("10.0.0.0/8"));
   // Debug builds assert (a register/unregister pairing bug); release
@@ -164,6 +175,7 @@ TEST(EcManagerDeathTest, UnknownUnregisterAssertsAndCounts) {
 
 TEST(EcManager, CompactMergesAndNotifiesRemapListeners) {
   PacketSpace s;
+  s.migrate_to_bdd();
   EcManager ecs(s);
   std::vector<EcRemap> seen;
   ecs.subscribe_remap([&](const EcRemap& r) { seen.push_back(r); });
@@ -193,6 +205,7 @@ TEST(EcManager, CompactMergesAndNotifiesRemapListeners) {
 
 TEST(EcManager, CompactPreservesRefcountsAndPartitionSemantics) {
   PacketSpace s;
+  s.migrate_to_bdd();
   EcManager ecs(s);
   const BddRef a = s.dst_prefix(pfx("10.0.0.0/8"));
   const BddRef b = s.dst_prefix(pfx("20.0.0.0/8"));
@@ -217,6 +230,7 @@ TEST(EcManager, CompactPreservesRefcountsAndPartitionSemantics) {
 
 TEST(EcManager, EcsInFastPathsMatchFullScan) {
   PacketSpace s;
+  s.migrate_to_bdd();
   EcManager ecs(s);
   const BddRef a = s.dst_prefix(pfx("10.0.0.0/8"));
   ecs.register_predicate(a);
@@ -251,6 +265,7 @@ TEST(EcManager, EcsInFastPathsMatchFullScan) {
 TEST(EcManagerProperty, RandomPredicatesKeepInvariants) {
   core::Rng rng{5555};
   PacketSpace s;
+  s.migrate_to_bdd();
   EcManager ecs(s);
   std::vector<BddRef> preds;
   for (int i = 0; i < 24; ++i) {

@@ -52,6 +52,7 @@ void check_against_lpm(PacketSpace& space, EcManager& ecs, const NetworkModel& m
 
 TEST(Model, InsertMovesEcsFromDrop) {
   PacketSpace space;
+  space.migrate_to_bdd();
   EcManager ecs(space);
   NetworkModel model(space, ecs, 2);
 
@@ -73,6 +74,7 @@ TEST(Model, InsertMovesEcsFromDrop) {
 
 TEST(Model, DeleteRevertsToCoveringRule) {
   PacketSpace space;
+  space.migrate_to_bdd();
   EcManager ecs(space);
   NetworkModel model(space, ecs, 1);
 
@@ -90,6 +92,7 @@ TEST(Model, DeleteRevertsToCoveringRule) {
 
 TEST(Model, LpmShadowingLimitsEffectiveMatch) {
   PacketSpace space;
+  space.migrate_to_bdd();
   EcManager ecs(space);
   NetworkModel model(space, ecs, 1);
 
@@ -116,6 +119,7 @@ TEST(Model, ModificationOrderAsymmetry) {
   };
 
   PacketSpace s1;
+  s1.migrate_to_bdd();
   EcManager e1(s1);
   NetworkModel m1(s1, e1, 1);
   m1.apply_batch(delta_of({{old_rule, +1}}), UpdateOrder::kInsertFirst);
@@ -124,6 +128,7 @@ TEST(Model, ModificationOrderAsymmetry) {
   EXPECT_EQ(d1.stats.stale_ops, 1u);  // the delete no-ops
 
   PacketSpace s2;
+  s2.migrate_to_bdd();
   EcManager e2(s2);
   NetworkModel m2(s2, e2, 1);
   m2.apply_batch(delta_of({{old_rule, +1}}), UpdateOrder::kInsertFirst);
@@ -144,6 +149,7 @@ TEST(Model, IdenticalDeleteInsertCancelsInDelta) {
   // Z-set delta (weights +1 and -1 sum to zero), so the model sees an empty
   // batch — modifications only surface when old and new rules differ.
   PacketSpace space;
+  space.migrate_to_bdd();
   EcManager ecs(space);
   NetworkModel model(space, ecs, 1);
   const auto rule = fwd(0, pfx("10.0.0.0/8"), {1});
@@ -159,6 +165,7 @@ TEST(Model, DeleteRevertingToEqualPortMovesNothing) {
   // Deleting a /16 whose action equals the covering /8's action: the ECs
   // "move" to the identical port, which must not count as churn.
   PacketSpace space;
+  space.migrate_to_bdd();
   EcManager ecs(space);
   NetworkModel model(space, ecs, 1);
   model.apply_batch(delta_of({{fwd(0, pfx("10.0.0.0/8"), {1}), +1},
@@ -174,6 +181,7 @@ TEST(Model, DeleteRevertingToEqualPortMovesNothing) {
 
 TEST(Model, SplitsInheritParentPorts) {
   PacketSpace space;
+  space.migrate_to_bdd();
   EcManager ecs(space);
   NetworkModel model(space, ecs, 2);
 
@@ -194,6 +202,7 @@ TEST(Model, SplitsInheritParentPorts) {
 
 TEST(Model, AclBindingAffectsPermits) {
   PacketSpace space;
+  space.migrate_to_bdd();
   EcManager ecs(space);
   NetworkModel model(space, ecs, 1);
 
@@ -241,6 +250,7 @@ TEST(Model, RealFibBatchesMatchLpmOracle) {
   routing::IncrementalGenerator gen(t);
 
   PacketSpace space;
+  space.migrate_to_bdd();
   EcManager ecs(space);
   NetworkModel model(space, ecs, t.node_count());
   core::Rng rng{99};
@@ -263,6 +273,7 @@ TEST(Model, RealFibBatchesMatchLpmOracle) {
 
 TEST(Model, LookupReturnsLongestMatch) {
   PacketSpace space;
+  space.migrate_to_bdd();
   EcManager ecs(space);
   NetworkModel model(space, ecs, 2);
 
@@ -292,6 +303,7 @@ TEST(Model, LookupReturnsLongestMatch) {
 
 TEST(Model, LookupImplicitDrop) {
   PacketSpace space;
+  space.migrate_to_bdd();
   EcManager ecs(space);
   NetworkModel model(space, ecs, 2);
   model.apply_batch(delta_of({{fwd(0, pfx("10.0.0.0/8"), {1}), +1}}),
@@ -330,6 +342,7 @@ config::Flow flow_to(const char* dst) {
 
 TEST(Model, FilterVerdictFirstMatchAndImplicitDeny) {
   PacketSpace space;
+  space.migrate_to_bdd();
   EcManager ecs(space);
   NetworkModel model(space, ecs, 1);
 
@@ -372,6 +385,7 @@ TEST(Model, FilterVerdictAgreesWithPermits) {
   // The rule-level trace verdict and the EC-level permit bitmap are two
   // views of the same ACL; they must agree on every probe.
   PacketSpace space;
+  space.migrate_to_bdd();
   EcManager ecs(space);
   NetworkModel model(space, ecs, 1);
 
@@ -393,6 +407,7 @@ TEST(Model, RuleCountTracksFib) {
   config::NetworkConfig cfg = config::build_ospf_network(t);
   routing::IncrementalGenerator gen(t);
   PacketSpace space;
+  space.migrate_to_bdd();
   EcManager ecs(space);
   NetworkModel model(space, ecs, t.node_count());
   model.apply_batch(gen.apply(cfg), UpdateOrder::kInsertFirst);

@@ -13,6 +13,7 @@ net::Ipv4Prefix pfx(const char* s) { return *net::Ipv4Prefix::parse(s); }
 
 TEST(PacketSpace, DstPrefixCardinality) {
   PacketSpace s;
+  s.migrate_to_bdd();
   // A /24 constrains 24 of 98 bits: 2^(98-24) satisfying assignments.
   const BddRef p = s.dst_prefix(pfx("10.1.2.0/24"));
   EXPECT_DOUBLE_EQ(s.bdd().sat_count(p), std::pow(2.0, 98 - 24));
@@ -21,6 +22,7 @@ TEST(PacketSpace, DstPrefixCardinality) {
 
 TEST(PacketSpace, PrefixContainmentMirrorsBddImplication) {
   PacketSpace s;
+  s.migrate_to_bdd();
   const BddRef p8 = s.dst_prefix(pfx("10.0.0.0/8"));
   const BddRef p16 = s.dst_prefix(pfx("10.1.0.0/16"));
   const BddRef other = s.dst_prefix(pfx("11.0.0.0/8"));
@@ -31,6 +33,7 @@ TEST(PacketSpace, PrefixContainmentMirrorsBddImplication) {
 
 TEST(PacketSpace, SrcAndDstAreIndependentFields) {
   PacketSpace s;
+  s.migrate_to_bdd();
   const BddRef d = s.dst_prefix(pfx("10.0.0.0/8"));
   const BddRef src = s.src_prefix(pfx("10.0.0.0/8"));
   EXPECT_NE(d, src);
@@ -39,6 +42,7 @@ TEST(PacketSpace, SrcAndDstAreIndependentFields) {
 
 TEST(PacketSpace, ProtoEncoding) {
   PacketSpace s;
+  s.migrate_to_bdd();
   const BddRef tcp = s.proto(config::IpProto::kTcp);
   const BddRef udp = s.proto(config::IpProto::kUdp);
   const BddRef icmp = s.proto(config::IpProto::kIcmp);
@@ -50,6 +54,7 @@ TEST(PacketSpace, ProtoEncoding) {
 
 TEST(PacketSpace, PortRangeCardinality) {
   PacketSpace s;
+  s.migrate_to_bdd();
   EXPECT_EQ(s.dst_port_range(0, 65535), kBddTrue);
   const BddRef one = s.dst_port_range(80, 80);
   EXPECT_DOUBLE_EQ(s.bdd().sat_count(one), std::pow(2.0, 98 - 16));
@@ -62,6 +67,7 @@ TEST(PacketSpace, PortRangeCardinality) {
 /// nest/intersect correctly.
 TEST(PacketSpaceProperty, RandomPortRanges) {
   PacketSpace s;
+  s.migrate_to_bdd();
   core::Rng rng{808};
   for (int trial = 0; trial < 50; ++trial) {
     const auto lo = static_cast<std::uint16_t>(rng.next_below(65536));
@@ -79,6 +85,7 @@ TEST(PacketSpaceProperty, RandomPortRanges) {
 
 TEST(PacketSpace, FilterMatchConjunction) {
   PacketSpace s;
+  s.migrate_to_bdd();
   routing::FilterRule r;
   r.proto = static_cast<std::uint8_t>(config::IpProto::kTcp);
   r.src = pfx("10.0.0.0/8");
@@ -92,6 +99,7 @@ TEST(PacketSpace, FilterMatchConjunction) {
 
 TEST(PacketSpace, AclPermitFirstMatchWins) {
   PacketSpace s;
+  s.migrate_to_bdd();
   // 10 permit tcp any eq 80; 20 deny tcp; 30 permit ip any any
   routing::FilterRule permit_web;
   permit_web.priority = 0;
@@ -117,11 +125,13 @@ TEST(PacketSpace, AclPermitFirstMatchWins) {
 
 TEST(PacketSpace, EmptyAclDeniesEverything) {
   PacketSpace s;
+  s.migrate_to_bdd();
   EXPECT_EQ(s.acl_permit_set({}), kBddFalse);
 }
 
 TEST(PacketSpace, DstOfRoundTrip) {
   PacketSpace s;
+  s.migrate_to_bdd();
   const auto addr = *net::Ipv4Addr::parse("10.1.2.3");
   const BddRef p = s.dst_prefix(net::Ipv4Prefix{addr, 32});
   const auto assignment = s.bdd().pick_one(p);

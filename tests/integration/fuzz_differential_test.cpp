@@ -38,13 +38,13 @@
 //       iff the synthesizer finds one, every returned order walks only safe
 //       sets, and a claimed minimal blocking pair really has no size-1
 //       alternative.
-//   (8) packet-space backend equivalence: lanes pinned to the BDD backend,
-//       lanes on "auto" (interval atoms until a multi-field predicate), and
-//       reclaiming auto lanes run the identical change sequence — with a
-//       deterministic mid-run ACL injection that forces the one-time
-//       interval->BDD migration — and EC partitions, policy verdicts, and
-//       explain witnesses stay bit-identical across backends and across
-//       thread counts {1, 2, 4}.
+//   (8) packet-space backend equivalence: lanes moved onto BDDs at
+//       construction, lanes on "auto" (interval atoms until a multi-field
+//       predicate), and reclaiming auto lanes run the identical change
+//       sequence — with a deterministic mid-run ACL injection that forces
+//       the one-time interval->BDD migration — and EC partitions, policy
+//       verdicts, and explain witnesses stay bit-identical across backends
+//       and across thread counts {1, 2, 4}.
 //   (9) replica rollback: a replica restored onto one snapshot again and
 //       again (its dataflow state rolled back through the dd undo
 //       journals) equals a fresh fork of that snapshot after the same
@@ -210,7 +210,7 @@ TEST(FuzzDifferential, RandomNetworksAgreeAcrossOraclesAndThreadCounts) {
       for (const unsigned threads : kLaneThreads) {
         verify::RealConfigOptions o;
         o.threads = threads;
-        o.reclamation.enabled = reclaim;
+        o.reclamation = reclaim;
         lanes.push_back(std::make_unique<verify::RealConfig>(t, o));
       }
     }
@@ -311,7 +311,7 @@ TEST(FuzzDifferential, RandomNetworksAgreeAcrossOraclesAndThreadCounts) {
     // churned-then-reclaimed lane must land on exactly that size.
     {
       verify::RealConfigOptions o;
-      o.reclamation.enabled = true;
+      o.reclamation = true;
       verify::RealConfig rebuilt(t, o);
       register_policies(rebuilt);
       rebuilt.apply(cfg);
@@ -846,27 +846,27 @@ TEST(FuzzDifferential, BackendsAgreeAcrossMigrationAndThreadCounts) {
 
     // Lanes [0, 6): {bdd, auto} x threads {1,2,4}, no reclamation — these
     // must be bit-identical in EVERY field, EC ids included (identical split
-    // sequences produce identical ids on both backends). Lanes [6, 9): auto
-    // with eager reclamation, compared like oracle 6's reclaim lanes.
+    // sequences produce identical ids on both backends). The bdd lanes
+    // migrate right after construction, before their first apply. Lanes
+    // [6, 9): auto with eager reclamation, compared like oracle 6's reclaim
+    // lanes.
     std::vector<std::unique_ptr<verify::RealConfig>> lanes;
     std::vector<int> migrations;  // per-lane migration-listener fire count
-    const auto add_lane = [&](dpm::BackendKind backend, bool reclaim, unsigned threads) {
+    const auto add_lane = [&](bool bdd, bool reclaim, unsigned threads) {
       verify::RealConfigOptions o;
-      o.packet_space = backend;
       o.threads = threads;
-      o.reclamation.enabled = reclaim;
+      o.reclamation = reclaim;
       lanes.push_back(std::make_unique<verify::RealConfig>(t, o));
       migrations.push_back(0);
       const std::size_t lane_idx = migrations.size() - 1;
       lanes.back()->packet_space().subscribe_migration(
           [&migrations, lane_idx] { ++migrations[lane_idx]; });
+      if (bdd) lanes.back()->packet_space().migrate_to_bdd();
     };
-    for (const dpm::BackendKind backend : {dpm::BackendKind::kBdd, dpm::BackendKind::kAuto}) {
-      for (const unsigned threads : kLaneThreads) add_lane(backend, false, threads);
+    for (const bool bdd : {true, false}) {
+      for (const unsigned threads : kLaneThreads) add_lane(bdd, false, threads);
     }
-    for (const unsigned threads : kLaneThreads) {
-      add_lane(dpm::BackendKind::kAuto, true, threads);
-    }
+    for (const unsigned threads : kLaneThreads) add_lane(false, true, threads);
     const std::size_t kAutoBase = std::size(kLaneThreads);
     const std::size_t kReclaimBase = 2 * std::size(kLaneThreads);
 
@@ -906,14 +906,14 @@ TEST(FuzzDifferential, BackendsAgreeAcrossMigrationAndThreadCounts) {
       for (auto& lane : lanes) reports.push_back(Semantics::of(lane->apply(cfg).check));
 
       // Backend state: auto lanes run interval atoms strictly before the ACL
-      // step and BDDs (after exactly one migration) from it onwards; pinned
-      // lanes never migrate.
+      // step and BDDs (after exactly one migration) from it onwards; bdd
+      // lanes never migrate again after their migration at construction.
       for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-        const bool pinned_bdd = lane < kAutoBase;
+        const bool bdd_lane = lane < kAutoBase;
         const dpm::PacketSpace& space = lanes[lane]->packet_space();
-        if (pinned_bdd) {
+        if (bdd_lane) {
           EXPECT_EQ(space.active_backend(), dpm::BackendKind::kBdd);
-          EXPECT_EQ(migrations[lane], 0) << "lane " << lane;
+          EXPECT_EQ(migrations[lane], 1) << "lane " << lane;
         } else if (step < kAclStep) {
           EXPECT_EQ(space.active_backend(), dpm::BackendKind::kInterval)
               << "lane " << lane;
@@ -929,7 +929,7 @@ TEST(FuzzDifferential, BackendsAgreeAcrossMigrationAndThreadCounts) {
       // backends, all thread counts — EC ids and all.
       for (std::size_t lane = 1; lane < kReclaimBase; ++lane) {
         EXPECT_TRUE(reports[0] == reports[lane])
-            << "lane " << lane << " report differs from pinned-BDD threads=1";
+            << "lane " << lane << " report differs from bdd threads=1";
       }
       // Reclaim lanes: bit-identical among themselves, verdict/pair-level
       // equivalent to the rest (EC ids legitimately renumber after merges).

@@ -49,7 +49,7 @@ TEST(Soak, LongChurnHoldsMemoryFlat) {
   const config::NetworkConfig base = config::build_ospf_network(t);
 
   verify::RealConfigOptions eager;
-  eager.reclamation.enabled = true;
+  eager.reclamation = true;
   verify::RealConfig reclaiming(t, eager);
   verify::RealConfig control(t);
   reclaiming.apply(base);

@@ -2,8 +2,8 @@
 // through prefix-only commits, then hit with an ACL proposal must migrate
 // to BDDs exactly once — preserving live EC ids, registered-policy
 // verdicts, and provenance explain answers across the switch. A twin
-// session pinned to the all-BDD backend runs the identical script and the
-// two must agree bit for bit at every step.
+// session moved onto BDDs right after open runs the identical script and
+// the two must agree bit for bit at every step.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "config/builders.h"
 #include "core/rng.h"
-#include "service/protocol.h"
 #include "service/session.h"
 #include "topo/generators.h"
 
@@ -30,9 +29,8 @@ PolicySpec reach(const std::string& name, const std::string& src, const std::str
   return spec;
 }
 
-SessionOptions backend_options(dpm::BackendKind kind) {
+SessionOptions traced_options() {
   SessionOptions opts;
-  opts.verifier.packet_space = kind;
   opts.trace = true;  // provenance on: explain answers carry cause batches
   return opts;
 }
@@ -67,8 +65,9 @@ TEST(BackendMigrationSession, AclProposalMigratesOncePreservingEverything) {
   const topo::Topology t = topo::make_fat_tree(4);
   const config::NetworkConfig cfg = config::build_ospf_network(t);
 
-  Session interval("iv", t, cfg, backend_options(dpm::BackendKind::kAuto));
-  Session bdd("bd", t, cfg, backend_options(dpm::BackendKind::kBdd));
+  Session interval("iv", t, cfg, traced_options());
+  Session bdd("bd", t, cfg, traced_options());
+  bdd.verifier().packet_space().migrate_to_bdd();
   ASSERT_EQ(interval.verifier().packet_space().active_backend(),
             dpm::BackendKind::kInterval);
   ASSERT_EQ(bdd.verifier().packet_space().active_backend(), dpm::BackendKind::kBdd);
@@ -142,7 +141,7 @@ TEST(BackendMigrationSession, AclProposalMigratesOncePreservingEverything) {
   expect_sessions_agree(interval, bdd, "after ACL proposal");
 
   // And the migrated session keeps verifying: more prefix churn + a second
-  // ACL, still in lockstep with the all-BDD twin (no second migration).
+  // ACL, still in lockstep with the BDD twin (no second migration).
   config::NetworkConfig more = with_acl;
   more.devices.at(edge1).static_routes.push_back(
       {*net::Ipv4Prefix::parse("198.51.100.0/24"), config::kNullInterface, 1});
@@ -158,30 +157,12 @@ TEST(BackendMigrationSession, AclProposalMigratesOncePreservingEverything) {
 TEST(BackendMigrationSession, AutoStartsOnIntervalAtoms) {
   const topo::Topology t = topo::make_ring(4);
   const config::NetworkConfig cfg = config::build_ospf_network(t);
-  Session s("auto", t, cfg, backend_options(dpm::BackendKind::kAuto));
+  Session s("auto", t, cfg, traced_options());
   // Prefix-only workload: never migrates, answers from interval atoms.
   EXPECT_EQ(s.verifier().packet_space().active_backend(), dpm::BackendKind::kInterval);
   EXPECT_GT(s.verifier().ecs().ec_count(), 1u);
   // The BDD arena holds only its two terminals: nothing was ever built there.
   EXPECT_EQ(s.verifier().packet_space().bdd().node_count(), 2u);
-}
-
-TEST(BackendMigrationProtocol, OpenParsesPacketSpace) {
-  const auto open_with = [](const std::string& extra) {
-    return parse_request(
-        R"({"id":1,"op":"open","session":"s","topology":{"kind":"ring","n":4},)"
-        R"("config":"hostname r0")" +
-        extra + "}");
-  };
-  // Default: auto.
-  EXPECT_EQ(open_with("").options.verifier.packet_space, dpm::BackendKind::kAuto);
-  EXPECT_EQ(open_with(R"(,"packet_space":"bdd")").options.verifier.packet_space,
-            dpm::BackendKind::kBdd);
-  EXPECT_EQ(open_with(R"(,"packet_space":"auto")").options.verifier.packet_space,
-            dpm::BackendKind::kAuto);
-  EXPECT_THROW(open_with(R"(,"packet_space":"zdd")"), ProtocolError);
-  // "interval" names the backend a kAuto space starts on, not a request.
-  EXPECT_THROW(open_with(R"(,"packet_space":"interval")"), ProtocolError);
 }
 
 }  // namespace

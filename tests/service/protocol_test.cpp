@@ -269,7 +269,6 @@ TEST(Protocol, RejectsMalformedRequests) {
   EXPECT_THROW(parse_request(open + R"("threads":65})"), ProtocolError);
   EXPECT_THROW(parse_request(open + R"("threads":4294967297})"), ProtocolError);
   EXPECT_EQ(parse_request(open + R"("threads":64})").options.verifier.threads, kMaxThreads);
-  EXPECT_THROW(parse_request(open + R"("ec_watermark":-1})"), ProtocolError);
 }
 
 TEST(Protocol, BuildTopologyKinds) {
@@ -334,15 +333,20 @@ TEST(Protocol, RcfgdTranscriptEndToEnd) {
   std::ostringstream script;
   script << "# rcfgd acceptance transcript\n";
   script << "#pause\n";  // force one deterministic batch
-  // flush_budget / recurrence_threshold are retired open options; an older
-  // client that still sends them gets them ignored like any unknown key.
+  // flush_budget / recurrence_threshold / packet_space / ec_watermark /
+  // bdd_watermark are retired open options; an older client that still
+  // sends them gets them ignored like any unknown key, even at values the
+  // options used to reject.
   script << request_line({{"id", json::Value(1)},
                           {"op", json::Value("open")},
                           {"session", json::Value("net1")},
                           {"topology", topology},
                           {"config", json::Value(config::print_network(good))},
                           {"flush_budget", json::Value(2'000'000)},
-                          {"recurrence_threshold", json::Value(500)}})
+                          {"recurrence_threshold", json::Value(500)},
+                          {"packet_space", json::Value("zdd")},
+                          {"ec_watermark", json::Value(-1)},
+                          {"bdd_watermark", json::Value(1'000'000)}})
          << "\n";
   script << request_line({{"id", json::Value(2)},
                           {"op", json::Value("add_policy")},

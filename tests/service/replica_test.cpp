@@ -262,7 +262,7 @@ TEST(Replica, ReclamationRemapResyncsLanes) {
 
   SessionOptions sopts;
   sopts.replicas = 1;
-  sopts.verifier.reclamation.enabled = true;  // eager: merge after every check
+  sopts.verifier.reclamation = true;  // eager: merge after every check
   Engine engine;
   ASSERT_TRUE(engine.call(open_request(1, "net", "ring", 4, base, sopts)).ok);
 
@@ -294,18 +294,16 @@ TEST(Replica, BacklogSquashResyncsLaggingLaneAndKeepsParity) {
 
   SessionOptions sopts;
   sopts.replicas = 1;
-  EngineOptions opts;
-  opts.lane_resync_backlog = 2;  // squash after two pending deltas
-  Engine engine(opts);
+  Engine engine;
   ASSERT_TRUE(engine.call(open_request(1, "net", "ring", 6, base, sopts)).ok);
 
   // Catch-up is read-driven, so with no reads in flight the lane's backlog
   // grows one delta per mutation until the squash threshold collapses it
   // into a snapshot resync.
-  for (unsigned link = 0; link < 4; ++link) {
+  for (unsigned i = 0; i < kLaneResyncBacklog; ++i) {
     config::NetworkConfig cfg = base;
-    config::fail_link(cfg, t, link);
-    ASSERT_TRUE(engine.call(propose_request(10 + link, "net", cfg)).ok);
+    config::fail_link(cfg, t, static_cast<topo::LinkId>(i % t.link_count()));
+    ASSERT_TRUE(engine.call(propose_request(10 + i, "net", cfg)).ok);
   }
   engine.drain();
   EXPECT_GE(engine.metrics().replica_squashes.value(), 1u);

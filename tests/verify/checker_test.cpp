@@ -26,7 +26,9 @@ struct Rig {
         gen(topo),
         ecs(space),
         model(space, ecs, topo.node_count()),
-        checker(topo, space, ecs, model) {}
+        checker(topo, space, ecs, model) {
+    space.migrate_to_bdd();
+  }
 
   CheckResult step(dpm::UpdateOrder order = dpm::UpdateOrder::kInsertFirst) {
     return checker.process(model.apply_batch(gen.apply(cfg), order));

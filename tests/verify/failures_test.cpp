@@ -6,15 +6,23 @@
 #include <iterator>
 
 #include "config/builders.h"
+#include "routing/metrics.h"
 #include "topo/generators.h"
 
 namespace rcfg::verify {
 namespace {
 
+/// A verifier whose round budget is sized to the (unweighted) topology.
+RealConfigOptions sized(const topo::Topology& t) {
+  RealConfigOptions o;
+  o.generator.max_rounds = routing::recommended_max_rounds(t);
+  return o;
+}
+
 TEST(FailureSweep, FatTreeSurvivesEverySingleFailure) {
   const topo::Topology t = topo::make_fat_tree(4);
   config::NetworkConfig cfg = config::build_ospf_network(t);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(cfg);
 
   const FailureSweepResult r = sweep_failures(rc, cfg);
@@ -42,7 +50,7 @@ TEST(FailureSweep, FatTreeSurvivesEverySingleFailure) {
 TEST(FailureSweep, ChainHasOnlyCriticalLinks) {
   const topo::Topology t = topo::make_grid(4, 1);
   config::NetworkConfig cfg = config::build_ospf_network(t);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(cfg);
 
   const FailureSweepResult r = sweep_failures(rc, cfg);
@@ -55,7 +63,7 @@ TEST(FailureSweep, ChainHasOnlyCriticalLinks) {
 TEST(FailureSweep, RingToleratesAnySingleFailure) {
   const topo::Topology t = topo::make_ring(5);
   config::NetworkConfig cfg = config::build_ospf_network(t);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(cfg);
 
   const FailureSweepResult r = sweep_failures(rc, cfg);
@@ -71,7 +79,7 @@ TEST(FailureSweep, RingToleratesAnySingleFailure) {
 TEST(FailureSweep, PolicyViolationsNameTheScenario) {
   const topo::Topology t = topo::make_grid(3, 1);
   config::NetworkConfig cfg = config::build_ospf_network(t);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(cfg);
   const PolicyId pid =
       rc.require_reachable("n0-0", "n2-0", config::host_prefix(t.find_node("n2-0")));
@@ -87,7 +95,7 @@ TEST(FailureSweep, PolicyViolationsNameTheScenario) {
 TEST(FailureSweep, SubsetOfLinks) {
   const topo::Topology t = topo::make_ring(4);
   config::NetworkConfig cfg = config::build_bgp_network(t);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(cfg);
   FailureSweepOptions options;
   options.links = {0, 2};
@@ -129,7 +137,7 @@ topo::LinkId link_between(const topo::Topology& t, const std::string& a,
 TEST(FailureSweep, DivergentScenarioIsRecordedNotFatal) {
   const topo::Topology t = topo::make_full_mesh(4);
   const config::NetworkConfig healthy = stabilized_gadget(t);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(healthy);
   const topo::LinkId bad = link_between(t, "m0", "m1");
 
@@ -154,7 +162,7 @@ TEST(FailureSweep, DivergentScenarioIsRecordedNotFatal) {
 TEST(FailureSweep, ForkSweepRecordsDivergenceWithoutTouchingParent) {
   const topo::Topology t = topo::make_full_mesh(4);
   const config::NetworkConfig healthy = stabilized_gadget(t);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(healthy);
   const topo::LinkId bad = link_between(t, "m0", "m1");
 
@@ -186,7 +194,7 @@ std::vector<std::pair<topo::NodeId, topo::NodeId>> pairs_minus(
 TEST(FailureSweep, ForkSweepAgreesWithScratchVerifier) {
   const topo::Topology t = topo::make_fat_tree(4);
   config::NetworkConfig cfg = config::build_ospf_network(t);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(cfg);
   const PolicyId pid =
       rc.require_reachable("edge0-0", "edge1-1", config::host_prefix(t.find_node("edge1-1")));
@@ -202,7 +210,7 @@ TEST(FailureSweep, ForkSweepAgreesWithScratchVerifier) {
   for (topo::LinkId l = 0; l < t.link_count(); ++l) {
     config::NetworkConfig scenario_cfg = cfg;
     config::fail_link(scenario_cfg, t, l);
-    RealConfig scratch(t);
+    RealConfig scratch(t, sized(t));
     scratch.require_reachable("edge0-0", "edge1-1",
                               config::host_prefix(t.find_node("edge1-1")));
     scratch.apply(scenario_cfg);
@@ -250,7 +258,7 @@ TEST(FailureSweep, LinksDownInTheHealthyConfigStayDown) {
   const topo::Topology t = topo::make_ring(5);
   config::NetworkConfig cfg = config::build_ospf_network(t);
   config::fail_link(cfg, t, 0);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(cfg);
 
   // Both scenarios run on one lane; undoing {0} must leave link 0 down for
@@ -264,7 +272,7 @@ TEST(FailureSweep, LinksDownInTheHealthyConfigStayDown) {
 
   config::NetworkConfig both = cfg;
   config::fail_link(both, t, 2);
-  RealConfig scratch(t);
+  RealConfig scratch(t, sized(t));
   scratch.apply(both);
   EXPECT_EQ(r.outcomes[1].reachable_pairs, scratch.checker().reachable_pairs().size());
   EXPECT_EQ(r.outcomes[1].pairs_lost,
@@ -274,7 +282,7 @@ TEST(FailureSweep, LinksDownInTheHealthyConfigStayDown) {
 TEST(FailureSweep, MaxFailuresTwoCoversEveryPair) {
   const topo::Topology t = topo::make_ring(4);
   config::NetworkConfig cfg = config::build_ospf_network(t);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(cfg);
 
   FailureSweepOptions options;

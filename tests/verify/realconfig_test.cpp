@@ -367,16 +367,15 @@ TEST(RealConfigReclaim, ChurnStaysBoundedAndMatchesFreshRebuild) {
   const topo::Topology t = topo::make_fat_tree(4);
   const config::NetworkConfig base = config::build_ospf_network(t);
 
-  // Pinned to the BDD backend: the node_count comparison below measures
-  // BDD-arena hoarding, which the interval backend (append-only, gc no-op)
-  // does not exhibit.
+  // Moved onto BDDs at construction: the node_count comparison below
+  // measures BDD-arena hoarding, which the interval arena (append-only,
+  // never collected) does not exhibit.
   RealConfigOptions eager;
-  eager.packet_space = dpm::BackendKind::kBdd;
-  eager.reclamation.enabled = true;  // watermarks 0: reclaim after every batch
-  RealConfigOptions plain;
-  plain.packet_space = dpm::BackendKind::kBdd;
+  eager.reclamation = true;  // reclaim after every batch
   RealConfig reclaiming(t, eager);
-  RealConfig hoarding(t, plain);
+  RealConfig hoarding(t);
+  reclaiming.packet_space().migrate_to_bdd();
+  hoarding.packet_space().migrate_to_bdd();
   reclaiming.apply(base);
   hoarding.apply(base);
   const std::size_t baseline_ecs = reclaiming.ecs().ec_count();
@@ -411,7 +410,8 @@ TEST(RealConfigReclaim, ChurnStaysBoundedAndMatchesFreshRebuild) {
             reclaiming.packet_space().bdd().node_count());
 
   // The churned-then-reclaimed verifier matches a fresh rebuild exactly.
-  RealConfig fresh(t, plain);
+  RealConfig fresh(t);
+  fresh.packet_space().migrate_to_bdd();
   fresh.apply(cfg);
   EXPECT_EQ(reclaiming.ecs().ec_count(), fresh.ecs().ec_count());
   EXPECT_EQ(reclaiming.checker().pair_count(), fresh.checker().pair_count());
@@ -421,7 +421,7 @@ TEST(RealConfigReclaim, ChurnStaysBoundedAndMatchesFreshRebuild) {
 TEST(RealConfigReclaim, ReportExposesReclaimTelemetry) {
   const topo::Topology t = topo::make_grid(3, 1);
   RealConfigOptions eager;
-  eager.reclamation.enabled = true;
+  eager.reclamation = true;
   RealConfig rc(t, eager);
 
   config::NetworkConfig cfg = config::build_ospf_network(t);
@@ -444,28 +444,10 @@ TEST(RealConfigReclaim, ReportExposesReclaimTelemetry) {
   EXPECT_GE(rep.total_ms(), rep.reclaim.reclaim_ms);
 }
 
-TEST(RealConfigReclaim, WatermarksGateTheReclaimStep) {
-  const topo::Topology t = topo::make_grid(3, 1);
-  RealConfigOptions lazy;
-  lazy.reclamation.enabled = true;
-  lazy.reclamation.ec_watermark = 10'000;  // never crossed by this test
-  lazy.reclamation.bdd_watermark = 1'000'000;
-  RealConfig rc(t, lazy);
-
-  config::NetworkConfig cfg = config::build_ospf_network(t);
-  rc.apply(cfg);
-  auto& dev = cfg.devices.at("n0-0");
-  dev.static_routes.push_back({churn_prefix(0, 0), config::kNullInterface});
-  rc.apply(cfg);
-  dev.static_routes.clear();
-  const auto rep = rc.apply(cfg);
-  EXPECT_FALSE(rep.reclaim.ran);  // below both watermarks: nothing fires
-}
-
 TEST(RealConfigReclaim, SnapshotRestoreInterleavesWithReclaim) {
   const topo::Topology t = topo::make_fat_tree(4);
   RealConfigOptions eager;
-  eager.reclamation.enabled = true;
+  eager.reclamation = true;
   RealConfig rc(t, eager);
 
   config::NetworkConfig cfg = config::build_ospf_network(t);

@@ -7,11 +7,19 @@
 #include <vector>
 
 #include "config/builders.h"
+#include "routing/metrics.h"
 #include "topo/generators.h"
 #include "verify/failures.h"
 
 namespace rcfg::verify {
 namespace {
+
+/// A verifier whose round budget is sized to the (unweighted) topology.
+RealConfigOptions sized(const topo::Topology& t) {
+  RealConfigOptions o;
+  o.generator.max_rounds = routing::recommended_max_rounds(t);
+  return o;
+}
 
 FailureSweepOptions opts(unsigned max_failures, bool prune, bool symmetry,
                          std::uint64_t budget = 0, unsigned threads = 1) {
@@ -50,7 +58,7 @@ TEST(SweepSpace, RelevanceConesOnAChain) {
   // link 1, and no /31 link subnet overlaps the host /24 the policy names.
   const topo::Topology t = topo::make_grid(3, 1);
   config::NetworkConfig cfg = config::build_ospf_network(t);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(cfg);
   rc.require_reachable("n0-0", "n1-0", config::host_prefix(t.find_node("n1-0")));
 
@@ -73,7 +81,7 @@ TEST(SweepSpace, PrunedPolicyVerdictsMatchExhaustive) {
   // the k=3 isolation scenarios that actually violate the policy.
   const topo::Topology t = topo::make_full_mesh(4);
   config::NetworkConfig cfg = config::build_ospf_network(t);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(cfg);
   const PolicyId pid =
       rc.require_reachable("m0", "m1", config::host_prefix(t.find_node("m1")));
@@ -125,7 +133,7 @@ TEST(SweepSpace, PrunedPolicyVerdictsMatchExhaustive) {
 TEST(SweepSpace, PruneWithoutPoliciesPrunesEverything) {
   const topo::Topology t = topo::make_full_mesh(4);
   config::NetworkConfig cfg = config::build_ospf_network(t);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(cfg);
 
   const FailureSweepResult r = sweep_failures(rc, cfg, opts(2, true, false));
@@ -145,7 +153,7 @@ TEST(SweepSpace, SymmetryDedupIsBitIdenticalOnAFatTree) {
   // scenarios are replayed instead of verified.
   const topo::Topology t = topo::make_fat_tree(4);
   config::NetworkConfig cfg = config::build_ospf_network(t);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(cfg);
   rc.require_reachable("edge0-0", "edge1-0",
                        config::host_prefix(t.find_node("edge1-0")));
@@ -176,7 +184,7 @@ TEST(SweepSpace, AsymmetricPodDropsOutOfItsClass) {
   config::DeviceConfig& dev = cfg.devices.at("agg3-0");
   ASSERT_FALSE(dev.interfaces.empty());
   dev.interfaces.front().ospf_cost += 7;
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(cfg);
   rc.require_reachable("edge0-0", "edge0-1",
                        config::host_prefix(t.find_node("edge0-1")));
@@ -194,7 +202,7 @@ TEST(SweepSpace, AsymmetricPodDropsOutOfItsClass) {
 TEST(SweepSpace, DeterministicAcrossThreadCounts) {
   const topo::Topology t = topo::make_grid(3, 2);
   config::NetworkConfig cfg = config::build_ospf_network(t);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(cfg);
   rc.require_reachable("n0-0", "n2-1", config::host_prefix(t.find_node("n2-1")));
 
@@ -220,7 +228,7 @@ TEST(SweepSpace, DeterministicAcrossThreadCounts) {
 TEST(SweepSpace, BudgetIsAPrefixOfThePriorityStream) {
   const topo::Topology t = topo::make_grid(3, 2);
   config::NetworkConfig cfg = config::build_ospf_network(t);
-  RealConfig rc(t);
+  RealConfig rc(t, sized(t));
   rc.apply(cfg);
   rc.require_reachable("n0-0", "n2-1", config::host_prefix(t.find_node("n2-1")));
 
