@@ -120,7 +120,7 @@ struct VerifyLane {
 
 VerifyLane run_verify_churn(bool bdd, const topo::Topology& topo,
                             const std::vector<config::NetworkConfig>& sequence) {
-  verify::RealConfig rc(topo);
+  verify::RealConfig rc(topo, bench::options_for(topo));
   if (bdd) rc.packet_space().migrate_to_bdd();
   VerifyLane lane;
   for (const config::NetworkConfig& cfg : sequence) {

@@ -133,8 +133,11 @@ struct ReachProgram {
       return std::find(p.begin(), p.end() - 1, p.back()) == p.end() - 1;
     });
     paths.add_input(ok.out);
-    auto& heads = graph.make<Map<Path, int>>(paths.out, [](const Path& p) { return p.back(); });
-    auto& nodes = graph.make<dd::Distinct<int>>(heads.out);
+    auto& heads = graph.make<Map<Path, std::pair<int, int>>>(
+        paths.out, [](const Path& p) { return std::pair<int, int>{p.back(), 0}; });
+    auto& nodes = graph.make<Reduce<int, int, int>>(
+        heads.out,
+        [](const int& head, const ZSet<int>&, std::vector<int>& out) { out.push_back(head); });
     reachable = &graph.make<Output<int>>(nodes.out);
     sources.insert(0);
   }

@@ -1,4 +1,4 @@
-// The rcfgd scale-out load harness (successor to bench_service): three
+// The rcfgd scale-out load harness (successor to bench_service): four
 // phases, each with inline correctness assertions, all results appended to
 // BENCH_service.json.
 //
@@ -20,6 +20,11 @@
 //   C. Framing parse throughput — the same request stream decoded from
 //      JSON-lines and from binary frames, requests/s and MB/s each way.
 //
+//   D. Cost of provenance — the phase-A propose stream on an untraced and
+//      a traced session (the untraced column must not pay for batch
+//      records), plus the latency of `explain` on a violated waypoint.
+//      Asserts that `explain` answers violated.
+//
 // Knobs (environment variables):
 //   RCFG_LOAD_SESSIONS    phase-B session count        (default 10000)
 //   RCFG_LOAD_RSESSIONS   phase-A session count        (default 64)
@@ -28,6 +33,7 @@
 //   RCFG_LOAD_QTHREADS    closed-loop query clients    (default 8)
 //   RCFG_LOAD_FRAMES      phase-C request count        (default 20000)
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -83,6 +89,15 @@ Request query_request(const std::string& session, bool primary = false) {
   return req;
 }
 
+Request propose_request(const std::string& session, const std::string& config_text) {
+  Request req;
+  req.id = g_id.fetch_add(1);
+  req.verb = Verb::kPropose;
+  req.session = session;
+  req.config_text = config_text;
+  return req;
+}
+
 /// A session's self-sustaining propose loop: each response resubmits the
 /// next variant, so every session keeps exactly one verification in flight
 /// without tying up a client thread.
@@ -96,15 +111,11 @@ struct WriterLoop {
 
   void pump() {
     if (stop->load(std::memory_order_relaxed)) return;
-    Request req;
-    req.id = g_id.fetch_add(1);
-    req.verb = Verb::kPropose;
-    req.session = session;
-    req.config_text = (*variants)[next++ % variants->size()];
-    engine->submit(std::move(req), [this](Response r) {
-      if (r.ok) proposes->fetch_add(1, std::memory_order_relaxed);
-      pump();
-    });
+    engine->submit(propose_request(session, (*variants)[next++ % variants->size()]),
+                   [this](Response r) {
+                     if (r.ok) proposes->fetch_add(1, std::memory_order_relaxed);
+                     pump();
+                   });
   }
 };
 
@@ -303,12 +314,7 @@ PhaseBResult run_phase_b(unsigned sessions, unsigned window_ms, unsigned qthread
       std::size_t variant = w;
       while (!stop.load(std::memory_order_relaxed)) {
         const std::string& name = names[rr++ % names.size()];
-        Request req;
-        req.id = g_id.fetch_add(1);
-        req.verb = Verb::kPropose;
-        req.session = name;
-        req.config_text = variants[variant++ % variants.size()];
-        if (pool.call(std::move(req)).ok) {
+        if (pool.call(propose_request(name, variants[variant++ % variants.size()])).ok) {
           proposes.fetch_add(1, std::memory_order_relaxed);
           Request commit;
           commit.id = g_id.fetch_add(1);
@@ -443,6 +449,70 @@ FramingResult run_phase_c(unsigned count, const std::string& config_text) {
   return out;
 }
 
+// ---------------------------------------------------------------------------
+
+constexpr unsigned kProvenanceProposes = 24;
+constexpr unsigned kExplainQueries = 50;
+
+/// Propose latencies on two ring-6 sessions, [0] untraced and [1] traced,
+/// fed the same variants and taking turns at going first, so neither
+/// column pays for running first.
+std::array<std::vector<double>, 2> time_proposes(const std::string& base_text,
+                                                 const std::vector<std::string>& variants) {
+  const std::string names[2] = {"untraced", "traced"};
+  service::Engine engine;
+  for (const bool trace : {false, true}) {
+    if (!engine.call(open_request(names[trace], "ring", 6, base_text, 0, trace)).ok) {
+      fail("phase D open");
+    }
+  }
+  std::array<std::vector<double>, 2> ms;
+  for (unsigned i = 0; i < kProvenanceProposes; ++i) {
+    for (const bool trace : {i % 2 == 1, i % 2 == 0}) {
+      const bench::Timer t;
+      if (!engine.call(propose_request(names[trace], variants[i % variants.size()])).ok) {
+        fail("phase D propose");
+      }
+      ms[trace].push_back(t.ms());
+    }
+  }
+  return ms;
+}
+
+/// `explain` latency on a traced ring-6 session whose r0 -> r2 waypoint
+/// via r1 the proposal `violating` breaks.
+bench::Stats time_explain(const std::string& base_text, const std::string& violating) {
+  service::Engine engine;
+  if (!engine.call(open_request("prov", "ring", 6, base_text, 0, true)).ok) {
+    fail("phase D open");
+  }
+  Request add;
+  add.id = g_id.fetch_add(1);
+  add.verb = Verb::kAddPolicy;
+  add.session = "prov";
+  add.policy.kind = service::PolicySpec::Kind::kWaypoint;
+  add.policy.name = "via-r1";
+  add.policy.src = "r0";
+  add.policy.dst = "r2";
+  add.policy.via = "r1";
+  add.policy.prefix = config::host_prefix(2);
+  if (!engine.call(std::move(add)).ok || !engine.call(propose_request("prov", violating)).ok) {
+    fail("phase D setup");
+  }
+  bench::Stats ms;
+  for (unsigned i = 0; i < kExplainQueries; ++i) {
+    Request req;
+    req.id = g_id.fetch_add(1);
+    req.verb = Verb::kExplain;
+    req.session = "prov";
+    const bench::Timer t;
+    const Response r = engine.call(std::move(req));
+    ms.add(t.ms());
+    if (!r.ok || r.body.get_bool("satisfied", true)) fail("explain did not answer violated");
+  }
+  return ms;
+}
+
 }  // namespace
 
 int main() {
@@ -515,6 +585,19 @@ int main() {
               framing.binary_req_per_s, framing.binary_mb_per_s,
               static_cast<unsigned long long>(framing.binary_bytes));
 
+  std::printf("phase D: %u proposes per trace setting, %u explain queries\n",
+              kProvenanceProposes, kExplainQueries);
+  const std::array<std::vector<double>, 2> propose_ms = time_proposes(base6_text, variants6);
+  const double untraced = bench::percentile(propose_ms[0], 50);
+  const double traced = bench::percentile(propose_ms[1], 50);
+  const double overhead_pct = (traced / untraced - 1) * 100;
+  // variants6[0] fails r0--r1, the waypoint's only shortest path.
+  const bench::Stats explain = time_explain(base6_text, variants6[0]);
+  std::printf("  propose   : p50 trace off %.3f ms, trace on %.3f ms (%+.1f%%)\n", untraced,
+              traced, overhead_pct);
+  std::printf("  explain   : mean %.3f ms  max %.3f ms (violated waypoint)\n", explain.mean(),
+              explain.max);
+
   service::json::Value doc;
   doc["bench"] = service::json::Value("load");
   doc["window_ms"] = service::json::Value(window_ms);
@@ -552,6 +635,15 @@ int main() {
   framing_json["binary_mb_per_s"] = service::json::Value(framing.binary_mb_per_s);
   framing_json["binary_bytes"] = service::json::Value(framing.binary_bytes);
   doc["framing"] = std::move(framing_json);
+  service::json::Value provenance;
+  provenance["proposes"] = service::json::Value(kProvenanceProposes);
+  provenance["propose_p50_ms_trace_off"] = service::json::Value(untraced);
+  provenance["propose_p50_ms_trace_on"] = service::json::Value(traced);
+  provenance["trace_overhead_pct"] = service::json::Value(overhead_pct);
+  provenance["explain_queries"] = service::json::Value(kExplainQueries);
+  provenance["explain_ms_mean"] = service::json::Value(explain.mean());
+  provenance["explain_ms_max"] = service::json::Value(explain.max);
+  doc["provenance"] = std::move(provenance);
 
   std::ofstream("BENCH_service.json") << doc.dump() << "\n";
   std::printf("\nwrote BENCH_service.json\n");

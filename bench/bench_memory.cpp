@@ -61,7 +61,7 @@ struct Lane {
 
 Lane run(bool reclaim, unsigned threads, const topo::Topology& topo,
          const std::vector<config::NetworkConfig>& sequence) {
-  verify::RealConfigOptions opts;
+  verify::RealConfigOptions opts = bench::options_for(topo);
   opts.threads = threads;
   opts.reclamation = reclaim;
   verify::RealConfig rc(topo, opts);
@@ -120,7 +120,7 @@ int main() {
               k, topo.node_count(), rounds, routes);
 
   // Fresh rebuild of the final configuration: the minimality yardstick.
-  verify::RealConfig fresh(topo);
+  verify::RealConfig fresh(topo, bench::options_for(topo));
   fresh.apply(cfg);
   const std::size_t fresh_ecs = fresh.ecs().ec_count();
   const std::size_t fresh_pairs = fresh.checker().reachable_pairs().size();

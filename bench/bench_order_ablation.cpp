@@ -12,6 +12,7 @@
 #include "core/rng.h"
 #include "dpm/model.h"
 #include "routing/generator.h"
+#include "routing/metrics.h"
 #include "topo/generators.h"
 
 using namespace rcfg;
@@ -27,7 +28,7 @@ void run_protocol(const topo::Topology& topo, bool bgp) {
       bgp ? config::build_bgp_network(topo) : config::build_ospf_network(topo);
 
   routing::GeneratorOptions gopts;
-  gopts.max_rounds = bench::rounds();
+  gopts.max_rounds = routing::recommended_max_rounds(topo);
   routing::IncrementalGenerator gen(topo, gopts);
 
   // One model per order, all fed the same batches.

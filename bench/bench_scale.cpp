@@ -24,11 +24,18 @@
 // Each family records wall-times (scratch apply, churn mean/max,
 // failure-sweep), EC/BDD counts, and the incremental-vs-scratch ratio.
 //
+// The fat-tree entry also carries parallel-checker thread rows: replicas
+// forked from the post-open snapshot at 1, 2 and 4 checker threads each
+// replay the same batched maintenance event (~10% of links fail in one
+// change, then the repair lands in one change) RCFG_SAMPLES times, and
+// record stage-3 check latency, shard count and shard imbalance.
+//
 // Acceptance (exit 1 otherwise), all on the fat-tree entry:
 //   * incremental-vs-scratch ratio >= RCFG_SCALE_FLOOR
 //   * every registered policy holds on the healthy network, before and
 //     after churn (LC churn must never break fat-tree reachability)
 //   * the sweep accounts for every scenario it claims (accounted <= space)
+//   * every thread row's reports carry the same semantics as threads=1's
 //
 // Knobs (environment variables, parse_count_arg-checked — junk exits 2):
 //   RCFG_SCALE_K       fat-tree k (default 12, the paper scale)
@@ -38,6 +45,7 @@
 //   RCFG_SCALE_CHURN   churn steps per family (default 8)
 //   RCFG_SCALE_BUDGET  failure-sweep explored budget (default 12)
 //   RCFG_SCALE_FLOOR   min fat-tree incremental-vs-scratch ratio (default 5)
+//   RCFG_SAMPLES       fail/repair rounds per thread row (default 5)
 //
 // Writes BENCH_scale.json in the working directory.
 
@@ -45,6 +53,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -82,6 +91,37 @@ struct Family {
   std::function<void(config::NetworkConfig&, const topo::Topology&, core::Rng&)> churn;
 };
 
+/// The semantic content of a report, flattened for equality comparison.
+struct Semantics {
+  std::vector<dpm::EcId> ecs;
+  std::vector<std::pair<topo::NodeId, topo::NodeId>> affected, changed;
+  std::vector<std::pair<verify::PolicyId, bool>> events;
+  std::vector<dpm::EcId> lb, le, bb, be;
+
+  static Semantics of(const verify::CheckResult& c) {
+    Semantics s;
+    s.ecs = c.affected_ecs;
+    s.affected = c.affected_pairs;
+    s.changed = c.changed_pairs;
+    for (const verify::PolicyEvent& e : c.events) s.events.emplace_back(e.id, e.satisfied);
+    s.lb = c.loops_begun;
+    s.le = c.loops_ended;
+    s.bb = c.blackholes_begun;
+    s.be = c.blackholes_ended;
+    return s;
+  }
+  bool operator==(const Semantics&) const = default;
+};
+
+/// One parallel-checker row: stage-3 latency at `threads` checker threads.
+struct ThreadRow {
+  unsigned threads = 0;
+  unsigned shards = 0;
+  bench::Stats check_ms;
+  double imbalance = 0;            ///< slowest shard / mean shard, last apply
+  std::vector<Semantics> reports;  ///< one per apply, in order
+};
+
 /// One family's recorded results.
 struct FamilyResult {
   std::size_t nodes = 0, links = 0, policies = 0;
@@ -94,11 +134,61 @@ struct FamilyResult {
   std::size_t policies_holding = 0;  ///< after the churn sequence
   verify::FailureSweepResult sweep;
   double sweep_ms = 0;
+  std::size_t links_failed = 0;  ///< per maintenance batch (thread rows)
+  std::vector<ThreadRow> threads;
   bool ok = true;
 };
 
+/// `samples` maintenance events on `base`: ~10% of the links fail in one
+/// change, then the repair lands in one change.
+std::vector<config::NetworkConfig> maintenance_sequence(const topo::Topology& topo,
+                                                        const config::NetworkConfig& base,
+                                                        unsigned samples,
+                                                        std::size_t& n_fail) {
+  core::Rng rng(0x9e3779b97f4a7c15ULL);
+  std::vector<topo::LinkId> links(topo.link_count());
+  for (topo::LinkId l = 0; l < topo.link_count(); ++l) links[l] = l;
+  rng.shuffle(links);
+  n_fail = std::max<std::size_t>(1, topo.link_count() / 10);
+  std::vector<config::NetworkConfig> sequence;
+  for (unsigned s = 0; s < samples; ++s) {
+    config::NetworkConfig failed = base;
+    for (std::size_t i = 0; i < n_fail; ++i) {
+      config::fail_link(failed, topo, links[(s + i) % links.size()]);
+    }
+    sequence.push_back(std::move(failed));
+    sequence.push_back(base);
+  }
+  return sequence;
+}
+
+/// Replays `sequence` on a replica of `snap` whose checker runs `threads`
+/// wide.
+ThreadRow run_threads(const verify::RealConfig& rc, const verify::RealConfig::Snapshot& snap,
+                      verify::RealConfigOptions opts, unsigned threads,
+                      const std::vector<config::NetworkConfig>& sequence) {
+  opts.threads = threads;
+  const std::unique_ptr<verify::RealConfig> replica = rc.fork(snap, opts);
+  ThreadRow row;
+  row.threads = threads;
+  for (const config::NetworkConfig& cfg : sequence) {
+    const verify::RealConfig::Report report = replica->apply(cfg);
+    row.reports.push_back(Semantics::of(report.check));
+    row.check_ms.add(report.check_ms);
+    row.shards = report.check.parallel.shards;
+    const std::vector<double>& ms = report.check.parallel.shard_ms;
+    double sum = 0, slow = 0;
+    for (const double m : ms) {
+      sum += m;
+      slow = std::max(slow, m);
+    }
+    if (ms.size() > 1 && sum > 0) row.imbalance = slow * static_cast<double>(ms.size()) / sum;
+  }
+  return row;
+}
+
 FamilyResult run_family(const Family& fam, unsigned churn_steps, unsigned sweep_budget,
-                        std::uint64_t seed) {
+                        unsigned samples, std::uint64_t seed) {
   FamilyResult res;
   res.nodes = fam.topo.node_count();
   res.links = fam.topo.link_count();
@@ -125,7 +215,21 @@ FamilyResult run_family(const Family& fam, unsigned churn_steps, unsigned sweep_
       res.ok = false;
     }
   }
-  const auto healthy = rc.snapshot();
+
+  // --- threads: the parallel checker on replicas of the opened network ----
+  if (fam.name == "fat_tree") {
+    const auto opened = rc.snapshot();
+    const std::vector<config::NetworkConfig> sequence =
+        maintenance_sequence(fam.topo, fam.base, samples, res.links_failed);
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      res.threads.push_back(run_threads(rc, *opened, opts, threads, sequence));
+      if (res.threads.back().reports != res.threads.front().reports) {
+        std::fprintf(stderr, "FAIL: %s: reports at threads=%u differ from threads=1\n",
+                     fam.name.c_str(), threads);
+        res.ok = false;
+      }
+    }
+  }
 
   // --- churn: incremental applies -----------------------------------------
   core::Rng rng(seed);
@@ -138,12 +242,9 @@ FamilyResult run_family(const Family& fam, unsigned churn_steps, unsigned sweep_
     try {
       report = rc.apply(next);
     } catch (const dd::NonterminationError&) {
-      // An oscillating step: roll back to the last good state and keep
-      // going — recorded, never fatal (mirrors the sweep's divergence
-      // handling).
+      // A diverged apply leaves the verifier at `good`: recorded, never
+      // fatal (mirrors the sweep's divergence handling).
       ++res.diverged_steps;
-      rc.restore(*healthy);
-      rc.apply(good);
       continue;
     }
     const double ms = step_timer.ms();
@@ -209,6 +310,20 @@ service::json::Value to_json(const std::string& name, const FamilyResult& r) {
   s["coverage"] = service::json::Value(r.sweep.coverage);
   s["sweep_ms"] = service::json::Value(r.sweep_ms);
   v["sweep"] = std::move(s);
+  if (r.threads.empty()) return v;
+  v["links_failed_per_batch"] = service::json::Value(static_cast<std::uint64_t>(r.links_failed));
+  service::json::Value rows;
+  for (const ThreadRow& t : r.threads) {
+    service::json::Value row;
+    row["threads"] = service::json::Value(t.threads);
+    row["shards"] = service::json::Value(t.shards);
+    row["check_mean_ms"] = service::json::Value(t.check_ms.mean());
+    row["check_min_ms"] = service::json::Value(t.check_ms.min);
+    row["shard_imbalance"] = service::json::Value(t.imbalance);
+    row["speedup"] = service::json::Value(r.threads.front().check_ms.mean() / t.check_ms.mean());
+    rows.push_back(std::move(row));
+  }
+  v["threads"] = std::move(rows);
   return v;
 }
 
@@ -218,6 +333,18 @@ void print_row(const std::string& name, const FamilyResult& r) {
               name.c_str(), r.nodes, r.links, r.max_rounds, r.scratch_ms, r.churn_mean_ms,
               r.ratio, r.ec_count, r.bdd_nodes, r.policies_holding, r.policies,
               r.sweep_ms);
+}
+
+void print_threads(const FamilyResult& r) {
+  std::printf("\nparallel checker: %zu links fail per batch, %u applies per row\n",
+              r.links_failed, r.threads.front().check_ms.n);
+  std::printf("| Threads | Shards | Check mean ms | Check min ms | Imbalance | Speedup |\n");
+  std::printf("|---------|--------|---------------|--------------|-----------|---------|\n");
+  for (const ThreadRow& t : r.threads) {
+    std::printf("| %7u | %6u | %13.2f | %12.2f | %9.2f | %6.2fx |\n", t.threads, t.shards,
+                t.check_ms.mean(), t.check_ms.min, t.imbalance,
+                r.threads.front().check_ms.mean() / t.check_ms.mean());
+  }
 }
 
 }  // namespace
@@ -230,6 +357,7 @@ int main() {
   const unsigned churn_steps = bench::env_unsigned("RCFG_SCALE_CHURN", 8);
   const unsigned budget = bench::env_unsigned("RCFG_SCALE_BUDGET", 12);
   const unsigned floor = bench::env_unsigned("RCFG_SCALE_FLOOR", 5);
+  const unsigned samples = bench::samples();
   bool ok = true;
 
   std::printf("paper-scale trajectory: open -> churn (%u steps) -> verify -> sweep "
@@ -333,13 +461,13 @@ int main() {
               "----------|-------|---------|----------|----------|\n");
 
   service::json::Value rows;
-  double fat_tree_ratio = 0;
+  FamilyResult fat_tree;
   for (const Family& fam : families) {
-    const FamilyResult r = run_family(fam, churn_steps, budget, 0x5CA1E000ULL + k);
+    const FamilyResult r = run_family(fam, churn_steps, budget, samples, 0x5CA1E000ULL + k);
     print_row(fam.name, r);
     if (!r.ok) ok = false;
     if (fam.name == "fat_tree") {
-      fat_tree_ratio = r.ratio;
+      fat_tree = r;
       if (r.policies_holding != r.policies) {
         std::fprintf(stderr,
                      "FAIL: fat-tree LC churn broke %zu of %zu reachability policies\n",
@@ -349,12 +477,13 @@ int main() {
     }
     rows.push_back(to_json(fam.name, r));
   }
+  print_threads(fat_tree);
 
   std::printf("\nfat-tree k=%u incremental-vs-scratch: %.1fx (acceptance: >= %u)\n",
-              k, fat_tree_ratio, floor);
-  if (fat_tree_ratio < static_cast<double>(floor)) {
+              k, fat_tree.ratio, floor);
+  if (fat_tree.ratio < static_cast<double>(floor)) {
     std::fprintf(stderr, "FAIL: fat-tree ratio %.1f below the %ux floor\n",
-                 fat_tree_ratio, floor);
+                 fat_tree.ratio, floor);
     ok = false;
   }
 
@@ -363,6 +492,7 @@ int main() {
   doc["fat_tree_k"] = service::json::Value(k);
   doc["churn_steps"] = service::json::Value(churn_steps);
   doc["sweep_budget"] = service::json::Value(budget);
+  doc["thread_samples"] = service::json::Value(samples);
   doc["acceptance_min_ratio"] = service::json::Value(static_cast<std::uint64_t>(floor));
   doc["families"] = std::move(rows);
   std::ofstream("BENCH_scale.json") << doc.dump() << "\n";

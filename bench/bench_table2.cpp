@@ -22,6 +22,7 @@
 #include "config/builders.h"
 #include "core/rng.h"
 #include "routing/generator.h"
+#include "routing/metrics.h"
 #include "topo/generators.h"
 
 using namespace rcfg;
@@ -50,7 +51,7 @@ Row run_protocol(const topo::Topology& topo, bool bgp) {
   }
 
   routing::GeneratorOptions opts;
-  opts.max_rounds = bench::rounds();
+  opts.max_rounds = routing::recommended_max_rounds(topo);
   routing::IncrementalGenerator gen(topo, opts);
   {
     bench::Timer t;
@@ -114,7 +115,8 @@ int main() {
   const topo::Topology topo = topo::make_fat_tree(k);
   std::printf("Table 2: average data plane generation time\n");
   std::printf("fat tree k=%u: %zu nodes, %zu links; %u samples per change; %u rounds\n\n", k,
-              topo.node_count(), topo.link_count(), bench::samples(), bench::rounds());
+              topo.node_count(), topo.link_count(), bench::samples(),
+              routing::recommended_max_rounds(topo));
   std::printf("| Protocol | Batfish Full | RealConfig Full | LinkFailure       | LC/LP             |\n");
   std::printf("|----------|--------------|-----------------|-------------------|-------------------|\n");
 

@@ -54,18 +54,18 @@ struct Pipelines {
 
   /// `bdd`: move both pipelines onto BDDs before their first apply.
   Pipelines(const topo::Topology& t, bool bdd)
-      : insert_first(t, make_options(dpm::UpdateOrder::kInsertFirst)),
-        delete_first(t, make_options(dpm::UpdateOrder::kDeleteFirst)) {
+      : insert_first(t, make_options(t, dpm::UpdateOrder::kInsertFirst)),
+        delete_first(t, make_options(t, dpm::UpdateOrder::kDeleteFirst)) {
     if (bdd) {
       insert_first.packet_space().migrate_to_bdd();
       delete_first.packet_space().migrate_to_bdd();
     }
   }
 
-  static verify::RealConfigOptions make_options(dpm::UpdateOrder order) {
-    verify::RealConfigOptions o;
+  static verify::RealConfigOptions make_options(const topo::Topology& t,
+                                                dpm::UpdateOrder order) {
+    verify::RealConfigOptions o = bench::options_for(t);
     o.update_order = order;
-    o.generator.max_rounds = bench::rounds();
     return o;
   }
 };

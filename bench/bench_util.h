@@ -7,7 +7,9 @@
 //                   180 nodes / 864 links — which takes a few minutes of
 //                   from-scratch time on a laptop-class core)
 //   RCFG_SAMPLES    changes sampled per change type (default 5)
-//   RCFG_ROUNDS     generator max_rounds (default 12; plenty for fat trees)
+//
+// Bench verifiers size the generator's rounds with
+// routing::recommended_max_rounds(topology[, costs]) (see options_for).
 
 #include <algorithm>
 #include <chrono>
@@ -19,8 +21,10 @@
 #include <string>
 #include <vector>
 
+#include "routing/metrics.h"
 #include "service/cli.h"
 #include "service/json.h"
+#include "verify/realconfig.h"
 
 namespace rcfg::bench {
 
@@ -57,7 +61,13 @@ inline service::json::Value read_json_file(const char* path) {
 
 inline unsigned fat_tree_k() { return env_unsigned("RCFG_FATTREE_K", 8); }
 inline unsigned samples() { return env_unsigned("RCFG_SAMPLES", 5); }
-inline unsigned rounds() { return env_unsigned("RCFG_ROUNDS", 12); }
+
+/// Verifier options whose generator rounds are sized to `topo`.
+inline verify::RealConfigOptions options_for(const topo::Topology& topo) {
+  verify::RealConfigOptions o;
+  o.generator.max_rounds = routing::recommended_max_rounds(topo);
+  return o;
+}
 
 class Timer {
  public:

@@ -11,11 +11,23 @@
 // scenario, to the threads=1 sweep, so this bench doubles as the
 // determinism check for forked replicas (exit 1 on a mismatch).
 //
+// The relate section asks the change-planning question "how does the
+// proposal behave differently?" of the same verifier two ways:
+//   incremental  RelationalChecker::check — snapshot, fork, apply the
+//                proposal incrementally, and compare only the ECs the apply
+//                touched (the rest are identical through the fork's shared
+//                packet space);
+//   naive        two verifiers built from scratch (base and proposed), then
+//                the full pairwise walk over every EC.
+// The incremental diff must equal the full walk (exit 1 otherwise). The
+// section also measures update-order synthesis throughput (verified
+// placements per second) on pairwise-disjoint quarantine steps.
+//
 // Knobs (environment variables):
 //   RCFG_FATTREE_K        fat-tree k (default 8)
 //   RCFG_WHATIF_LINKS     links swept (default 24, capped at the link count)
 //   RCFG_WHATIF_POLICIES  registered reachability policies (default 16)
-//   RCFG_SAMPLES          fork/rebuild timing samples (default 5)
+//   RCFG_SAMPLES          fork/rebuild/relate timing samples (default 5)
 //
 // Writes its fields into BENCH_whatif.json in the working directory,
 // keeping any other section there (bench_sweep's "sweep_k3").
@@ -27,6 +39,8 @@
 #include "bench_util.h"
 #include "config/builders.h"
 #include "core/rng.h"
+#include "relate/order.h"
+#include "relate/relate.h"
 #include "service/json.h"
 #include "topo/generators.h"
 #include "verify/failures.h"
@@ -59,6 +73,28 @@ std::vector<Verdict> verdicts(const verify::FailureSweepResult& result) {
   return out;
 }
 
+/// Quarantine `victim`'s host prefix at `device`: deny-then-permit ACL on
+/// every transit interface.
+void quarantine_at(config::NetworkConfig& cfg, const std::string& device,
+                   net::Ipv4Prefix victim) {
+  auto& dev = cfg.devices.at(device);
+  config::Acl acl;
+  acl.name = "QUARANTINE";
+  config::AclRule deny;
+  deny.seq = 10;
+  deny.action = config::Action::kDeny;
+  deny.dst = victim;
+  acl.rules.push_back(deny);
+  config::AclRule permit;
+  permit.seq = 20;
+  permit.action = config::Action::kPermit;
+  acl.rules.push_back(permit);
+  dev.acls[acl.name] = acl;
+  for (auto& iface : dev.interfaces) {
+    if (iface.name != "lan0") iface.acl_in = acl.name;
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -69,8 +105,9 @@ int main() {
 
   const topo::Topology topo = topo::make_fat_tree(k);
   const config::NetworkConfig base = config::build_ospf_network(topo);
+  const verify::RealConfigOptions rc_options = bench::options_for(topo);
 
-  verify::RealConfig rc(topo);
+  verify::RealConfig rc(topo, rc_options);
   core::Rng rng(0x9e3779b97f4a7c15ULL);
   for (unsigned p = 0; p < n_policies; ++p) {
     const topo::NodeId a = static_cast<topo::NodeId>(rng.next_below(topo.node_count()));
@@ -104,7 +141,7 @@ int main() {
     fork_ms.add(t_fork.ms());
 
     const bench::Timer t_rebuild;
-    verify::RealConfig fresh(topo);
+    verify::RealConfig fresh(topo, rc_options);
     fresh.apply(base);
     rebuild_ms.add(t_rebuild.ms());
   }
@@ -149,7 +186,76 @@ int main() {
                 row.per_scenario_ms, row.speedup);
   }
   std::printf("\noutcomes identical across all thread counts; the paper reports ~20x "
-              "over from-scratch for this workload\n");
+              "over from-scratch for this workload\n\n");
+
+  // --- relate: incremental relational diff vs two scratch verifiers -------
+  // The proposal quarantines one edge switch's host prefix at every core
+  // and bumps one IGP cost: a filter change and a routing change in one
+  // proposal, touching a handful of ECs out of the whole partition.
+  const net::Ipv4Prefix victim = config::host_prefix(topo.find_node("edge1-1"));
+  config::NetworkConfig proposed = base;
+  for (unsigned j = 0; j < k * k / 4; ++j) {
+    quarantine_at(proposed, "core" + std::to_string(j), victim);
+  }
+  config::set_ospf_cost(proposed, "agg0-0", "to-core0", 5);
+  relate::RelationalChecker checker(rc);
+  relate::RelationalResult related;
+  bench::Stats inc_ms, inc_walk_ms, naive_ms, naive_walk_ms;
+  for (unsigned s = 0; s < samples; ++s) {
+    related = checker.check(
+        proposed, {{relate::RelationalSpec::Kind::kOnlyDstIn, {victim}, "quarantine"}});
+    inc_ms.add(related.total_ms());
+    inc_walk_ms.add(related.diff_ms);
+  }
+  for (unsigned s = 0; s < samples; ++s) {
+    const bench::Timer t_naive;
+    verify::RealConfig fresh_base(topo, rc_options);
+    fresh_base.apply(base);
+    verify::RealConfig fresh_proposed(topo, rc_options);
+    fresh_proposed.apply(proposed);
+    // Scratch partitions live in unrelated packet spaces, so the naive walk
+    // runs on the checker's fork pair: the same comparisons, and the
+    // equality check against the incremental diff.
+    const bench::Timer t_walk;
+    const relate::RelationalDiff full =
+        relate::relational_diff_bruteforce(rc, checker.changed(), checker.base_of());
+    naive_walk_ms.add(t_walk.ms());
+    naive_ms.add(t_naive.ms());
+    if (!(full == related.diff)) {
+      std::fprintf(stderr, "FAIL: incremental relational diff differs from the full walk\n");
+      return 1;
+    }
+  }
+  const std::size_t ec_count = checker.changed().ecs().ec_count();
+  std::printf("relational diff: %zu ECs differ (%zu candidates examined of %zu)\n",
+              related.diff.ecs.size(), related.ecs_compared, ec_count);
+  std::printf("| Strategy    | Mean ms  | Diff-walk ms | ECs compared |\n");
+  std::printf("|-------------|----------|--------------|--------------|\n");
+  std::printf("| incremental | %8.1f | %12.2f | %12zu |\n", inc_ms.mean(), inc_walk_ms.mean(),
+              related.ecs_compared);
+  std::printf("| naive       | %8.1f | %12.2f | %12zu |\n", naive_ms.mean(),
+              naive_walk_ms.mean(), ec_count);
+  std::printf("incremental diff is %.1fx cheaper; diffs identical\n\n",
+              naive_ms.mean() / inc_ms.mean());
+
+  // One quarantine step per even pod's first edge switch — pairwise
+  // disjoint; the synthesizer verifies placements until a safe order emerges.
+  std::vector<relate::UpdateStep> steps;
+  for (unsigned pod = 0; pod < k; pod += 2) {
+    config::NetworkConfig step_cfg = base;
+    const std::string device = "edge" + std::to_string(pod) + "-0";
+    quarantine_at(step_cfg, device, victim);
+    relate::UpdateStep step;
+    step.name = "quarantine-" + device;
+    step.patch.devices[device] = step_cfg.devices.at(device);
+    steps.push_back(std::move(step));
+  }
+  const relate::OrderResult order = relate::UpdateOrderSynthesizer(rc, base).synthesize(steps);
+  const double placements_per_s = 1000.0 * static_cast<double>(order.explored) / order.search_ms;
+  std::printf("order synthesis: %zu steps, %zu placements verified, %zu restores, found=%s, "
+              "%.1f ms (%.1f placements/s)\n",
+              steps.size(), order.explored, order.restores, order.found ? "yes" : "no",
+              order.search_ms, placements_per_s);
 
   service::json::Value doc = bench::read_json_file("BENCH_whatif.json");
   doc["bench"] = service::json::Value("whatif");
@@ -172,6 +278,22 @@ int main() {
     out_rows.push_back(std::move(r));
   }
   doc["rows"] = std::move(out_rows);
+  service::json::Value rel;
+  rel["diff_ecs"] = service::json::Value(static_cast<std::uint64_t>(related.diff.ecs.size()));
+  rel["ecs_compared"] = service::json::Value(static_cast<std::uint64_t>(related.ecs_compared));
+  rel["ec_count"] = service::json::Value(static_cast<std::uint64_t>(ec_count));
+  rel["incremental_ms"] = service::json::Value(inc_ms.mean());
+  rel["incremental_diff_walk_ms"] = service::json::Value(inc_walk_ms.mean());
+  rel["naive_ms"] = service::json::Value(naive_ms.mean());
+  rel["naive_walk_ms"] = service::json::Value(naive_walk_ms.mean());
+  rel["speedup"] = service::json::Value(naive_ms.mean() / inc_ms.mean());
+  rel["order_steps"] = service::json::Value(static_cast<std::uint64_t>(steps.size()));
+  rel["order_found"] = service::json::Value(order.found);
+  rel["order_explored"] = service::json::Value(static_cast<std::uint64_t>(order.explored));
+  rel["order_restores"] = service::json::Value(static_cast<std::uint64_t>(order.restores));
+  rel["order_search_ms"] = service::json::Value(order.search_ms);
+  rel["placements_per_s"] = service::json::Value(placements_per_s);
+  doc["relate"] = std::move(rel);
   std::ofstream("BENCH_whatif.json") << doc.dump() << "\n";
   std::printf("merged into BENCH_whatif.json\n");
   return 0;

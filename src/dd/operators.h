@@ -1,10 +1,10 @@
 #pragma once
 
 // The incremental operator library: Input, Map, Filter, Negate, Concat,
-// Join, Reduce, Distinct, Output.
+// Join, Reduce, Output.
 //
 // Every operator keeps whatever persistent state it needs (join
-// arrangements, reduce groups, distinct counts) so that processing a delta
+// arrangements, reduce groups) so that processing a delta
 // costs time proportional to the delta and the state it touches — never to
 // the full relation. That state reuse is precisely the "incremental
 // computation" the paper borrows from differential dataflow. While the
@@ -479,64 +479,6 @@ class Reduce final : public OperatorBase {
   ZSet<std::pair<K, V>> pending_;
   ZSet<std::pair<K, V>> journal_in_;
   ZSet<std::pair<K, Out>> journal_out_;  ///< per-group output diffs
-};
-
-// ---------------------------------------------------------------------------
-// Distinct
-// ---------------------------------------------------------------------------
-
-/// Set semantics: output weight is 1 while the input multiplicity is
-/// positive, 0 otherwise. Needed after projections that can derive the
-/// same tuple several ways (e.g., a FIB entry supported by many paths).
-template <class T>
-class Distinct final : public OperatorBase {
- public:
-  Distinct(Graph& graph, Stream<T>& upstream, std::string name = "distinct")
-      : OperatorBase(graph, std::move(name)) {
-    upstream.subscribe([this](const ZSet<T>& d) {
-      pending_.merge(d);
-      graph_.schedule(*this);
-    });
-  }
-
-  void flush() override {
-    ZSet<T> delta;
-    for (const auto& [t, w] : pending_) {
-      const Weight before = counts_.weight(t);
-      const Weight after = before + w;
-      counts_.add(t, w);
-      if (journaling()) journal_.add(t, w);
-      const int sign_before = before > 0 ? 1 : 0;
-      const int sign_after = after > 0 ? 1 : 0;
-      if (sign_after != sign_before) delta.add(t, sign_after - sign_before);
-    }
-    pending_.clear();
-    detail::emit_delta(graph_, *this, out, delta);
-  }
-
-  std::shared_ptr<const void> save_state() const override {
-    return std::make_shared<const ZSet<T>>(counts_);
-  }
-  std::size_t load_state(const void* state) override {
-    counts_ = *static_cast<const ZSet<T>*>(state);
-    pending_.clear();
-    journal_.clear();
-    return counts_.size();
-  }
-  void rollback(const void*) override {
-    detail::unapply(counts_, journal_);
-    pending_.clear();
-    journal_.clear();
-  }
-  std::size_t journal_size() const noexcept override { return journal_.size(); }
-  void drop_journal() override { journal_ = {}; }
-
-  Stream<T> out;
-
- private:
-  ZSet<T> counts_;
-  ZSet<T> pending_;
-  ZSet<T> journal_;
 };
 
 // ---------------------------------------------------------------------------

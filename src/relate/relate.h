@@ -14,7 +14,8 @@
 // per-EC comparison restricted to the ECs the incremental apply actually
 // touched — everything else is provably identical, which is why the diff
 // costs a fork + incremental apply instead of two scratch builds plus a
-// full pairwise EC comparison (BENCH_relate.json quantifies the gap).
+// full pairwise EC comparison (BENCH_whatif.json's relate section
+// quantifies the gap).
 //
 // Relational specs say which traffic is ALLOWED to change behaviour:
 //   only_dst_in P / only_src_in P  — only packets to/from prefix-set P

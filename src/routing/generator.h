@@ -100,8 +100,9 @@ class IncrementalGenerator {
   /// throws std::logic_error otherwise.
   Snapshot snapshot() const;
 
-  /// Restore converged state from `snap`. Tuning knobs (budgets) are not
-  /// part of the snapshot and keep their current values.
+  /// Restore converged state from `snap`. The provenance setting is not
+  /// part of the snapshot and keeps its current value; the last apply()'s
+  /// changed-device list is cleared.
   void restore(const Snapshot& snap);
 
   // --- provenance (pay-as-you-go: nothing is computed until enabled) ------

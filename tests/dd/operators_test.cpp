@@ -274,25 +274,6 @@ TEST(Reduce, AddInputEqualsConcatThenReduce) {
   EXPECT_FALSE(fused_out.current().empty());
 }
 
-TEST(Distinct, SignSemantics) {
-  Graph g;
-  auto& in = g.make<Input<int>>();
-  auto& d = g.make<Distinct<int>>(in.out);
-  auto& out = g.make<Output<int>>(d.out);
-
-  in.update(1, 3);  // three derivations
-  g.commit();
-  EXPECT_EQ(out.current().weight(1), 1);
-
-  in.update(1, -2);  // still one derivation left
-  g.commit();
-  EXPECT_EQ(out.current().weight(1), 1);
-
-  in.update(1, -1);  // last derivation gone
-  g.commit();
-  EXPECT_EQ(out.current().weight(1), 0);
-}
-
 TEST(Concat, UnionsInputs) {
   Graph g;
   auto& a = g.make<Input<int>>();

@@ -22,7 +22,8 @@ using Edge = std::pair<int, int>;
 using Path = std::vector<int>;  // nodes visited, starting at the source
 
 /// Reachability-with-paths program: reach(path) holds for every loop-free
-/// path from `source`. Reachable nodes = distinct projection of path heads.
+/// path from `source`. Reachable nodes = path heads grouped by head, one
+/// output per non-empty group (set semantics through Reduce).
 struct ReachProgram {
   Graph graph;
   Input<int>* sources = nullptr;
@@ -63,9 +64,13 @@ struct ReachProgram {
         "loop_check");
     paths.add_input(loop_free.out);
 
-    auto& heads = graph.make<Map<Path, int>>(
-        paths.out, [](const Path& p) { return p.back(); }, "heads");
-    auto& nodes = graph.make<Distinct<int>>(heads.out, "distinct_nodes");
+    auto& heads = graph.make<Map<Path, std::pair<int, int>>>(
+        paths.out, [](const Path& p) { return std::pair<int, int>{p.back(), 0}; }, "heads");
+    auto& nodes = graph.make<Reduce<int, int, int>>(
+        heads.out, [](const int& head, const ZSet<int>&, std::vector<int>& out) {
+          out.push_back(head);
+        },
+        "distinct_nodes");
     reachable = &graph.make<Output<int>>(nodes.out, "reachable");
   }
 };

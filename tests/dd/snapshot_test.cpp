@@ -55,9 +55,9 @@ GraphSnapshot unstamped(const GraphSnapshot& snap) {
   return copy;
 }
 
-/// A little program with every stateful operator kind: Input, Join,
-/// Reduce (via feedback), Distinct, Output. keys() reads the distinct
-/// joined keys currently derivable.
+/// A little program with every stateful operator kind: Input, Join, a
+/// set-semantics Reduce, Output. keys() reads the distinct joined keys
+/// currently derivable.
 struct JoinProgram {
   Graph graph;
   Input<Entry>* left = nullptr;
@@ -68,10 +68,13 @@ struct JoinProgram {
   JoinProgram() {
     left = &graph.make<Input<Entry>>("left");
     right = &graph.make<Input<Entry>>("right");
-    auto& joined = graph.make<Join<int, int, int, int>>(
+    auto& joined = graph.make<Join<int, int, int, Entry>>(
         left->out, right->out,
-        [](const int& k, const int&, const int&) { return k; }, "join");
-    auto& distinct = graph.make<Distinct<int>>(joined.out, "distinct");
+        [](const int& k, const int&, const int&) { return Entry{k, 0}; }, "join");
+    auto& distinct = graph.make<Reduce<int, int, int>>(
+        joined.out,
+        [](const int& k, const ZSet<int>&, std::vector<int>& emit) { emit.push_back(k); },
+        "distinct");
     keys = &graph.make<Output<int>>(distinct.out, "keys");
     probe = &graph.make<RestoreProbe>("probe");
   }
@@ -122,8 +125,8 @@ struct MixedOscillator {
 
 /// Every stateful operator kind plus the stateless ones between them: a
 /// Join that rejects some pairs, a two-input Reduce over the Join and the
-/// left Input, Distinct behind a Map and a Filter, and an Output on each
-/// stateful stage.
+/// left Input, a set-semantics Reduce behind a Map and a Filter, and an
+/// Output on each stateful stage.
 struct EveryKind {
   Graph graph;
   Input<Entry>* left = nullptr;
@@ -155,11 +158,14 @@ struct EveryKind {
         },
         "reduce");
     reduce->add_input(left->out);
-    auto& residue = graph.make<Map<Entry, int>>(
-        reduce->out, [](const Entry& e) { return e.second % 7; }, "residue");
-    auto& nonzero =
-        graph.make<Filter<int>>(residue.out, [](const int& r) { return r != 0; }, "nonzero");
-    auto& distinct = graph.make<Distinct<int>>(nonzero.out, "distinct");
+    auto& residue = graph.make<Map<Entry, Entry>>(
+        reduce->out, [](const Entry& e) { return Entry{e.second % 7, 0}; }, "residue");
+    auto& nonzero = graph.make<Filter<Entry>>(
+        residue.out, [](const Entry& r) { return r.first != 0; }, "nonzero");
+    auto& distinct = graph.make<Reduce<int, int, int>>(
+        nonzero.out,
+        [](const int& r, const ZSet<int>&, std::vector<int>& emit) { emit.push_back(r); },
+        "distinct");
     joined = &graph.make<Output<Entry>>(join->out, "joined");
     best = &graph.make<Output<Entry>>(reduce->out, "best");
     residues = &graph.make<Output<int>>(distinct.out, "residues");
