@@ -11,11 +11,12 @@
 //      runs. Asserts the query-throughput ratio meets RCFG_LOAD_FLOOR and
 //      that replica answers are byte-identical to the primary's.
 //
-//   B. Scale-out — RCFG_LOAD_SESSIONS sessions (default 10k) sharded over
-//      a 4-engine pool with admission control, then a mixed query/propose
-//      window with query latency percentiles (p50/p95/p99). Asserts the
-//      10k+1'th open is denied and that a full queue with reject_on_full
-//      answers an explicit backpressure error.
+//   B. Scale-out — RCFG_LOAD_SESSIONS sessions (default 10k) on one
+//      engine (8 write workers, 1 read worker) with max_sessions admission
+//      control, then a mixed query/propose window with query latency
+//      percentiles (p50/p95/p99). Asserts the 10k+1'th open is denied and
+//      that a full queue with reject_on_full answers an explicit
+//      backpressure error.
 //
 //   C. Framing parse throughput — the same request stream decoded from
 //      JSON-lines and from binary frames, requests/s and MB/s each way.
@@ -48,7 +49,6 @@
 #include "config/print.h"
 #include "service/engine.h"
 #include "service/framing.h"
-#include "service/pool.h"
 #include "topo/generators.h"
 
 using namespace rcfg;
@@ -243,6 +243,10 @@ service::json::Value phase_a_json(const PhaseAResult& r) {
 
 // ---------------------------------------------------------------------------
 
+/// Phase B's write workers: the thread budget of the four two-worker engines
+/// that served this phase before, so EXPERIMENTS.md can compare the two.
+constexpr unsigned kPhaseBWorkers = 8;
+
 struct PhaseBResult {
   unsigned sessions = 0;
   double open_total_ms = 0;
@@ -256,12 +260,11 @@ struct PhaseBResult {
 PhaseBResult run_phase_b(unsigned sessions, unsigned window_ms, unsigned qthreads,
                          const std::string& base_text,
                          const std::vector<std::string>& variants) {
-  service::PoolOptions popts;
-  popts.engines = 4;
-  popts.engine.workers = 2;
-  popts.engine.read_workers = 1;
-  popts.max_sessions = sessions;
-  service::EnginePool pool(popts);
+  service::EngineOptions opts;
+  opts.workers = kPhaseBWorkers;
+  opts.read_workers = 1;
+  opts.max_sessions = sessions;
+  service::Engine engine(opts);
 
   PhaseBResult out;
   out.sessions = sessions;
@@ -273,7 +276,7 @@ PhaseBResult run_phase_b(unsigned sessions, unsigned window_ms, unsigned qthread
   for (unsigned s = 0; s < sessions; ++s) {
     names.push_back("s" + std::to_string(s));
     const bench::Timer one;
-    const Response r = pool.call(open_request(names.back(), "ring", 4, base_text));
+    const Response r = engine.call(open_request(names.back(), "ring", 4, base_text));
     open_lat.push_back(one.ms());
     if (!r.ok) fail("phase B open " + names.back() + ": " + r.error);
   }
@@ -283,11 +286,11 @@ PhaseBResult run_phase_b(unsigned sessions, unsigned window_ms, unsigned qthread
   out.open_p99 = bench::percentile(open_lat, 99);
 
   // Admission control: the (N+1)'th session must be denied, explicitly.
-  const Response denied = pool.call(open_request("overflow", "ring", 4, base_text));
+  const Response denied = engine.call(open_request("overflow", "ring", 4, base_text));
   if (denied.ok || denied.error.find("admission denied") == std::string::npos) {
     fail("phase B: open beyond max_sessions was not denied (" + denied.error + ")");
   }
-  if (pool.session_count() != sessions) fail("phase B: session count drifted");
+  if (engine.session_count() != sessions) fail("phase B: session count drifted");
 
   // Mixed traffic: closed-loop query clients over all sessions plus two
   // closed-loop propose/commit writers striding across them.
@@ -301,7 +304,7 @@ PhaseBResult run_phase_b(unsigned sessions, unsigned window_ms, unsigned qthread
       std::size_t rr = q * 7919;  // co-prime stride start per client
       while (!stop.load(std::memory_order_relaxed)) {
         const bench::Timer one;
-        const Response r = pool.call(query_request(names[rr++ % names.size()]));
+        const Response r = engine.call(query_request(names[rr++ % names.size()]));
         lat[q].push_back(one.ms());
         queries.fetch_add(1, std::memory_order_relaxed);
         if (!r.ok) errors.fetch_add(1, std::memory_order_relaxed);
@@ -314,13 +317,13 @@ PhaseBResult run_phase_b(unsigned sessions, unsigned window_ms, unsigned qthread
       std::size_t variant = w;
       while (!stop.load(std::memory_order_relaxed)) {
         const std::string& name = names[rr++ % names.size()];
-        if (pool.call(propose_request(name, variants[variant++ % variants.size()])).ok) {
+        if (engine.call(propose_request(name, variants[variant++ % variants.size()])).ok) {
           proposes.fetch_add(1, std::memory_order_relaxed);
           Request commit;
           commit.id = g_id.fetch_add(1);
           commit.verb = Verb::kCommit;
           commit.session = name;
-          pool.call(std::move(commit));
+          engine.call(std::move(commit));
         }
       }
     });
@@ -329,7 +332,7 @@ PhaseBResult run_phase_b(unsigned sessions, unsigned window_ms, unsigned qthread
   stop.store(true);
   for (std::thread& t : clients) t.join();
   const double wall_ms = timer.ms();
-  pool.drain();
+  engine.drain();
   if (errors.load() != 0) fail("phase B: " + std::to_string(errors.load()) + " query errors");
 
   std::vector<double> all;
@@ -564,7 +567,8 @@ int main() {
          std::to_string(floor) + "x floor");
   }
 
-  std::printf("phase B: %u sessions over a 4-engine pool\n", sessions);
+  std::printf("phase B: %u sessions on one engine, %u write workers\n", sessions,
+              kPhaseBWorkers);
   const PhaseBResult scale =
       run_phase_b(sessions, window_ms, qthreads > 2 ? qthreads - 2 : qthreads, base4_text,
                   variants4);
@@ -612,7 +616,7 @@ int main() {
   doc["replica_speedup"] = std::move(replica);
   service::json::Value scale_out;
   scale_out["sessions"] = service::json::Value(scale.sessions);
-  scale_out["engines"] = service::json::Value(4);
+  scale_out["workers"] = service::json::Value(kPhaseBWorkers);
   scale_out["open_total_ms"] = service::json::Value(scale.open_total_ms);
   scale_out["open_p50_ms"] = service::json::Value(scale.open_p50);
   scale_out["open_p95_ms"] = service::json::Value(scale.open_p95);

@@ -16,7 +16,7 @@
 
 #include "config/builders.h"
 #include "config/print.h"
-#include "service/engine.h"
+#include "service/io.h"
 #include "topo/generators.h"
 
 using namespace rcfg;
@@ -117,7 +117,7 @@ int main() {
 
   std::istringstream in(script.str());
   std::ostringstream out;
-  service::run_jsonl(in, out);
+  service::run_service(in, out);
 
   std::printf("responses:\n");
   std::istringstream lines(out.str());

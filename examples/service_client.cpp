@@ -17,7 +17,7 @@
 
 #include "config/builders.h"
 #include "config/print.h"
-#include "service/engine.h"
+#include "service/io.h"
 #include "topo/generators.h"
 
 using namespace rcfg;
@@ -78,9 +78,9 @@ int main() {
   // --- run it through the rcfgd loop --------------------------------------
   std::istringstream in(script.str());
   std::ostringstream out;
-  service::EngineOptions opts;
-  opts.workers = 2;
-  service::run_jsonl(in, out, opts);
+  service::ServiceOptions opts;
+  opts.engine.workers = 2;
+  service::run_service(in, out, opts);
 
   std::printf("responses:\n");
   std::istringstream lines(out.str());

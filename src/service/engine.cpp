@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -196,8 +194,23 @@ void Engine::submit(Request req, Callback callback) {
 
   // The slot cannot be erased while its queue is non-empty, so the
   // reference stays valid; an `open` slot just created above has an empty
-  // queue, so a refusal never strands a fresh slot.
+  // queue, so a backpressure refusal never strands a fresh slot.
   if (!admit(slot.queue)) return;
+
+  // Admission, after any backpressure wait so the count is current: live
+  // sessions plus opens still in flight, both under mu_, so no interleaving
+  // of submitters can overshoot max_sessions.
+  if (req.verb == Verb::kOpen) {
+    if (options_.max_sessions != 0 && admitted_ >= options_.max_sessions) {
+      // Nothing else holds a slot with no session, no queue and no worker.
+      if (!slot.has_session && !slot.busy && slot.queue.empty()) slots_.erase(it);
+      metrics_.admission_denied.inc();
+      refuse("admission denied: engine at max_sessions (" +
+             std::to_string(options_.max_sessions) + ")");
+      return;
+    }
+    ++admitted_;
+  }
 
   slot.queue.push_back(Pending{std::move(req), std::move(callback)});
   metrics_.queue_depth.add(1);
@@ -415,13 +428,13 @@ void Engine::process_batch_(Slot& slot, std::vector<Pending> batch) {
     }
     // Acknowledge before the callback: once the caller sees the response,
     // the epoch fence guarantees any subsequent read observes this request.
-    acknowledge_(slot, std::move(effect));
+    acknowledge_(slot, req.verb, std::move(effect));
     if (!r.ok) metrics_.errors_total.inc();
     p.callback(std::move(r));
   }
 }
 
-void Engine::acknowledge_(Slot& slot, ReplicaEffect effect) {
+void Engine::acknowledge_(Slot& slot, Verb verb, ReplicaEffect effect) {
   // Lanes are only created/destroyed by the primary worker that owns this
   // slot (busy=true), so reading the vector's shape unlocked is safe; lane
   // *state* is touched under mu_ only.
@@ -468,6 +481,9 @@ void Engine::acknowledge_(Slot& slot, ReplicaEffect effect) {
   }
 
   const std::lock_guard<std::mutex> lock(mu_);
+  // An open keeps its admission place only if it created the session; a
+  // failed or duplicate open frees it before its answer goes out.
+  if (verb == Verb::kOpen && (slot.has_session || slot.session == nullptr)) --admitted_;
   slot.has_session = slot.session != nullptr;
   ++slot.processed_epoch;
   const std::string name = slot.session != nullptr ? slot.session->name() : std::string();

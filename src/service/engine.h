@@ -16,7 +16,12 @@
 //     queue_capacity, bounding memory under overload. With
 //     `reject_on_full`, a full queue instead answers immediately with an
 //     explicit "backpressure" error, so callers can shed load rather than
-//     stall (the EnginePool's admission control composes with this).
+//     stall.
+//   * Admission — with max_sessions > 0, submit() answers an `open` with
+//     an explicit "admission denied" error once live sessions plus opens
+//     still in flight reach the bound. Both are counted under the engine
+//     lock, so pipelined or concurrent opens cannot overshoot it; an open
+//     that fails gives its place back before it is answered.
 //   * Recovery — nonterminating proposals are absorbed by Session (the
 //     diverged apply changes nothing and the session rolls back to the last
 //     committed config); the engine reports the structured outcome, counts
@@ -65,7 +70,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -91,6 +95,8 @@ struct EngineOptions {
   /// Answer "backpressure: session queue full" instead of blocking the
   /// submitter when a queue is at capacity.
   bool reject_on_full = false;
+  /// 0 = unlimited; else an open beyond live + in-flight opens is denied.
+  std::size_t max_sessions = 0;
 };
 
 /// A replica lane's pending-delta backlog collapses into one snapshot
@@ -115,7 +121,8 @@ class Engine {
   /// Enqueue a request; the callback receives exactly one Response. Blocks
   /// while the session's queue is full (backpressure), unless
   /// reject_on_full. Requests that cannot be routed (unknown session,
-  /// duplicate open) are answered with an error on the calling thread.
+  /// duplicate open, an open beyond max_sessions) are answered with an
+  /// error on the calling thread.
   void submit(Request req, Callback callback);
 
   /// Synchronous convenience: submit + wait for the response.
@@ -210,9 +217,10 @@ class Engine {
   json::Value run_(Slot* slot, Session* session, const Request& req, ReplicaEffect& effect);
   void record_report_(Slot& slot, const verify::RealConfig::Report& report);
   /// Advance the slot's epoch and stream `effect` to every lane (plus lane
-  /// installation / resync forks). Called by the primary worker after each
-  /// request, before the callback fires.
-  void acknowledge_(Slot& slot, ReplicaEffect effect);
+  /// installation / resync forks), and give back the admission place of an
+  /// open that did not create the session. Called by the primary worker
+  /// after each request, before the callback fires.
+  void acknowledge_(Slot& slot, Verb verb, ReplicaEffect effect);
   /// True if a read worker could make progress on the lane right now.
   static bool lane_claimable_(const ReplicaLane& lane);
   void enqueue_lane_(const std::string& name, Slot& slot, std::size_t index);
@@ -229,23 +237,12 @@ class Engine {
   std::deque<std::string> ready_;     ///< sessions with pending, unclaimed work
   std::deque<std::pair<std::string, std::size_t>> read_ready_;  ///< (session, lane)
   unsigned active_workers_ = 0;       ///< both pools
+  std::size_t admitted_ = 0;          ///< live sessions + opens in flight
   bool paused_ = false;
   bool stop_ = false;
 
   std::vector<std::thread> workers_;
   std::vector<std::thread> read_workers_;
 };
-
-/// Drive an Engine from a JSON-lines stream: one request per line (blank
-/// lines and lines starting with '#' are skipped), one response per line on
-/// `out` in completion order (per-session FIFO). Returns after EOF once all
-/// requests have been answered. Tests and examples call it directly on
-/// string streams; rcfgd's main loop is the framing-aware superset
-/// run_service (io.h), of which this is the framing=jsonl special case.
-///
-/// The comment directives "#pause" / "#resume" gate worker dispatch (see
-/// Engine::pause), so a transcript can deterministically force a run of
-/// requests into one coalesced batch.
-void run_jsonl(std::istream& in, std::ostream& out, const EngineOptions& options = {});
 
 }  // namespace rcfg::service

@@ -2,61 +2,19 @@
 
 #include <atomic>
 #include <istream>
-#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
 
-#include "service/pool.h"
-
 namespace rcfg::service {
 
-namespace {
-
-/// Engine or EnginePool behind one submit surface. The pool is engaged only
-/// when asked for (engines > 1 or admission control), so the single-engine
-/// path keeps its flat `stats` body and zero extra indirection.
-struct Backend {
-  std::unique_ptr<Engine> engine;
-  std::unique_ptr<EnginePool> pool;
-
-  explicit Backend(const ServiceOptions& options) {
-    if (options.engines > 1 || options.max_sessions != 0) {
-      PoolOptions popts;
-      popts.engine = options.engine;
-      popts.engines = options.engines == 0 ? 1 : options.engines;
-      popts.max_sessions = options.max_sessions;
-      pool = std::make_unique<EnginePool>(std::move(popts));
-    } else {
-      engine = std::make_unique<Engine>(options.engine);
-    }
-  }
-
-  void submit(Request req, Engine::Callback callback) {
-    if (engine != nullptr) {
-      engine->submit(std::move(req), std::move(callback));
-    } else {
-      pool->submit(std::move(req), std::move(callback));
-    }
-  }
-  void drain() { engine != nullptr ? engine->drain() : pool->drain(); }
-  void pause() { engine != nullptr ? engine->pause() : pool->pause(); }
-  void resume() { engine != nullptr ? engine->resume() : pool->resume(); }
-  /// Protocol-level errors are attributed to engine 0 when pooled.
-  ServiceMetrics& metrics() {
-    return engine != nullptr ? engine->metrics() : pool->engine(0).metrics();
-  }
-};
-
-}  // namespace
-
 void run_service(std::istream& in, std::ostream& out, const ServiceOptions& options) {
-  Backend backend(options);
+  Engine engine(options.engine);
 
   // Everything `emit` touches must outlive the DrainGuard below, so that an
-  // exception unwinding this frame drains the backend (flushing worker
+  // exception unwinding this frame drains the engine (flushing worker
   // callbacks through emit) while the mutex and streams are still alive.
   std::atomic<std::uint64_t> sink_errors{0};
   std::mutex out_mu;
@@ -103,18 +61,18 @@ void run_service(std::istream& in, std::ostream& out, const ServiceOptions& opti
   };
 
   // Declared after emit/out_mu so it is destroyed FIRST: whatever unwinds
-  // this frame, the backend quiesces before emit's captures die. Without
+  // this frame, the engine quiesces before emit's captures die. Without
   // this, ~Engine's implicit drain would run worker callbacks against an
   // already-destroyed mutex.
   struct DrainGuard {
-    Backend& backend;
+    Engine& engine;
     ~DrainGuard() {
       try {
-        backend.drain();
+        engine.drain();
       } catch (...) {
       }
     }
-  } guard{backend};
+  } guard{engine};
 
   Framing framing = options.framing;
   if (framing == Framing::kAuto) {
@@ -129,7 +87,7 @@ void run_service(std::istream& in, std::ostream& out, const ServiceOptions& opti
     try {
       read_magic(in);
     } catch (const FramingError& e) {
-      backend.metrics().errors_total.inc();
+      engine.metrics().errors_total.inc();
       emit(error_response(0, std::string("framing: ") + e.what()));
       return;
     }
@@ -141,7 +99,7 @@ void run_service(std::istream& in, std::ostream& out, const ServiceOptions& opti
       } catch (const FramingError& e) {
         // Truncated header/payload: the stream offset is lost, end the
         // connection (after answering so the client sees why).
-        backend.metrics().errors_total.inc();
+        engine.metrics().errors_total.inc();
         emit(error_response(0, std::string("framing: ") + e.what()));
         break;
       }
@@ -152,15 +110,15 @@ void run_service(std::istream& in, std::ostream& out, const ServiceOptions& opti
       } catch (const FramingError& e) {
         // The frame boundary held; only the value inside was malformed, so
         // the next frame is still addressable — answer and keep serving.
-        backend.metrics().errors_total.inc();
+        engine.metrics().errors_total.inc();
         emit(error_response(0, std::string("framing: ") + e.what()));
         continue;
       } catch (const ProtocolError& e) {
-        backend.metrics().errors_total.inc();
+        engine.metrics().errors_total.inc();
         emit(error_response(0, e.what()));
         continue;
       }
-      backend.submit(std::move(req), emit);
+      engine.submit(std::move(req), emit);
     }
     return;
   }
@@ -174,8 +132,8 @@ void run_service(std::istream& in, std::ostream& out, const ServiceOptions& opti
       // Two comment directives make replayed transcripts deterministic:
       // "#pause" queues everything until "#resume", forcing the requests in
       // between into one batch regardless of machine speed.
-      if (view == "#pause") backend.pause();
-      if (view == "#resume") backend.resume();
+      if (view == "#pause") engine.pause();
+      if (view == "#resume") engine.resume();
       continue;
     }
 
@@ -183,19 +141,12 @@ void run_service(std::istream& in, std::ostream& out, const ServiceOptions& opti
     try {
       req = parse_request(view);
     } catch (const ProtocolError& e) {
-      backend.metrics().errors_total.inc();
+      engine.metrics().errors_total.inc();
       emit(error_response(0, e.what()));
       continue;
     }
-    backend.submit(std::move(req), emit);
+    engine.submit(std::move(req), emit);
   }
-}
-
-void run_jsonl(std::istream& in, std::ostream& out, const EngineOptions& options) {
-  ServiceOptions sopts;
-  sopts.engine = options;
-  sopts.framing = Framing::kJsonl;
-  run_service(in, out, sopts);
 }
 
 }  // namespace rcfg::service

@@ -1,20 +1,22 @@
 #pragma once
 
-// The rcfgd stream-serving loop: drive an Engine (or a sharded EnginePool)
-// from an input stream of requests and write one response per request to an
-// output stream, in either wire framing.
+// The rcfgd stream-serving loop: drive one Engine from an input stream of
+// requests and write one response per request to an output stream, in
+// either wire framing. Tests and examples call it directly on string
+// streams.
 //
 //   * Framing — kAuto (default) peeks the first input byte: 0xB5 (the
 //     binary stream magic, framing.h) selects binary frames, anything else
 //     selects JSON-lines. Responses use the same framing as requests; a
 //     binary stream's output begins with the magic so clients can
 //     auto-detect it symmetrically.
-//   * Sharding — engines > 1 (or max_sessions > 0) serves through an
-//     EnginePool: sessions hash across engines, opens beyond max_sessions
-//     are answered with an explicit admission-denial error.
+//   * Directives — in JSON-lines, blank lines and lines starting with '#'
+//     are skipped; "#pause" / "#resume" gate worker dispatch (see
+//     Engine::pause), so a transcript can deterministically force a run of
+//     requests into one coalesced batch.
 //   * Robustness — the response emitter never throws (a sink failure is
 //     counted and swallowed: responses are delivery-best-effort once the
-//     request has been applied), and the serving loop drains the backend
+//     request has been applied), and the serving loop drains the engine
 //     via a scope guard BEFORE its locals unwind, so an exception anywhere
 //     in the read loop cannot destroy the output mutex while worker
 //     callbacks still reference it.
@@ -27,13 +29,7 @@
 namespace rcfg::service {
 
 struct ServiceOptions {
-  EngineOptions engine;
-  /// Engines to shard sessions across (pool.h). 1 serves straight from one
-  /// Engine — note `stats` answers the flat engine body then, and the
-  /// merged {"engines":[...],"pool":{...}} body when the pool is engaged
-  /// (engines > 1 or max_sessions > 0).
-  unsigned engines = 1;
-  std::size_t max_sessions = 0;  ///< 0 = unlimited (pool admission control)
+  EngineOptions engine;  ///< includes max_sessions (admission control)
   Framing framing = Framing::kAuto;
 };
 

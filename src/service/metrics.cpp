@@ -164,6 +164,7 @@ json::Value ServiceMetrics::to_json() const {
   load["sessions_open"] = json::Value(sessions_open.value());
   load["sessions_open_max"] = json::Value(sessions_open.max());
   load["rejected"] = json::Value(rejected_total.value());
+  load["admission_denied"] = json::Value(admission_denied.value());
   out["load"] = std::move(load);
 
   return out;

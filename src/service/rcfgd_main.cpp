@@ -12,12 +12,12 @@
 // auto-detected from the first input byte by default.
 //
 // Flags:
-//   --workers N         worker threads per engine (default 2)
-//   --read-workers N    replica read threads per engine (default 2)
+//   --workers N         worker threads (default 2)
+//   --read-workers N    replica read threads (default 2)
 //   --queue N           per-session queue capacity before backpressure
 //                       (default 64)
-//   --engines N         engines to shard sessions across (default 1)
-//   --max-sessions N    deny opens beyond N live sessions (default unlimited)
+//   --max-sessions N    deny opens once live sessions plus opens in flight
+//                       reach N (default unlimited)
 //   --reject-on-full    answer "backpressure" errors instead of blocking
 //                       when a session queue is full
 //   --framing auto|jsonl|binary   wire framing (default auto)
@@ -36,9 +36,9 @@ namespace {
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--workers N] [--read-workers N] [--queue N] [--engines N]\n"
-               "       %*s [--max-sessions N] [--reject-on-full] [--framing auto|jsonl|binary]\n"
-               "       %*s [--no-coalesce] [in [out]]\n",
+               "usage: %s [--workers N] [--read-workers N] [--queue N] [--max-sessions N]\n"
+               "       %*s [--reject-on-full] [--framing auto|jsonl|binary] [--no-coalesce]\n"
+               "       %*s [in [out]]\n",
                argv0, static_cast<int>(std::strlen(argv0)), "",
                static_cast<int>(std::strlen(argv0)), "");
   std::exit(2);
@@ -73,11 +73,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--queue") == 0) {
       options.engine.queue_capacity = parse_count(argv[0], arg, value);
       ++i;
-    } else if (std::strcmp(arg, "--engines") == 0) {
-      options.engines = parse_count(argv[0], arg, value);
-      ++i;
     } else if (std::strcmp(arg, "--max-sessions") == 0) {
-      options.max_sessions = parse_count(argv[0], arg, value);
+      options.engine.max_sessions = parse_count(argv[0], arg, value);
       ++i;
     } else if (std::strcmp(arg, "--reject-on-full") == 0) {
       options.engine.reject_on_full = true;

@@ -323,6 +323,107 @@ TEST(Engine, StatsWaitsForInFlightWork) {
   EXPECT_EQ(r.body.find("metrics")->find("load")->get_int("sessions_open"), 2);
 }
 
+TEST(Engine, DeniesOpensBeyondMaxSessions) {
+  const topo::Topology t = topo::make_ring(4);
+  const config::NetworkConfig cfg = config::build_ospf_network(t);
+  EngineOptions opts;
+  opts.max_sessions = 2;
+  Engine engine(opts);
+
+  ASSERT_TRUE(engine.call(open_request(1, "a", "ring", 4, cfg)).ok);
+  ASSERT_TRUE(engine.call(open_request(2, "b", "ring", 4, cfg)).ok);
+  const Response denied = engine.call(open_request(3, "c", "ring", 4, cfg));
+  EXPECT_FALSE(denied.ok);
+  EXPECT_NE(denied.error.find("admission denied"), std::string::npos) << denied.error;
+  EXPECT_EQ(denied.id, 3u);
+  EXPECT_EQ(engine.metrics().admission_denied.value(), 1u);
+  EXPECT_EQ(engine.session_count(), 2u);
+
+  // Non-open traffic to live sessions is unaffected by the cap.
+  EXPECT_TRUE(engine.call(verb_request(4, "a", Verb::kQuery)).ok);
+
+  const Response stats = engine.call(verb_request(5, "", Verb::kStats));
+  ASSERT_TRUE(stats.ok);
+  const json::Value* load = stats.body.find("metrics")->find("load");
+  EXPECT_EQ(load->get_int("sessions_open"), 2);
+  EXPECT_EQ(load->get_int("admission_denied"), 1);
+  EXPECT_EQ(stats.body.find("sessions")->as_array().size(), 2u);
+}
+
+TEST(Engine, ConcurrentOpensStopAtMaxSessions) {
+  // Four submitters race opens on distinct names; the admission count is
+  // taken under the engine lock, so exactly max_sessions of them survive.
+  constexpr std::size_t kMax = 5;
+  constexpr int kThreads = 4;
+  constexpr int kOpensPerThread = 4;
+  const topo::Topology t = topo::make_ring(3);
+  const config::NetworkConfig cfg = config::build_ospf_network(t);
+  EngineOptions opts;
+  opts.workers = 4;
+  opts.max_sessions = kMax;
+  Engine engine(opts);
+
+  std::atomic<int> ok{0};
+  std::atomic<int> denied{0};
+  std::vector<std::thread> submitters;
+  for (int th = 0; th < kThreads; ++th) {
+    submitters.emplace_back([&, th] {
+      for (int i = 0; i < kOpensPerThread; ++i) {
+        const int n = th * kOpensPerThread + i;
+        engine.submit(open_request(static_cast<std::uint64_t>(n + 1), "s" + std::to_string(n),
+                                   "ring", 3, cfg),
+                      [&](Response r) {
+                        if (r.ok) {
+                          ++ok;
+                        } else if (r.error.find("admission denied") != std::string::npos) {
+                          ++denied;
+                        }
+                      });
+      }
+    });
+  }
+  for (std::thread& th : submitters) th.join();
+  engine.drain();
+
+  EXPECT_EQ(engine.session_count(), kMax);
+  EXPECT_EQ(ok.load(), static_cast<int>(kMax));
+  EXPECT_EQ(denied.load(), kThreads * kOpensPerThread - static_cast<int>(kMax));
+}
+
+TEST(Engine, FailedOpenFreesItsAdmissionPlace) {
+  const topo::Topology t = topo::make_ring(4);
+  const config::NetworkConfig cfg = config::build_ospf_network(t);
+  EngineOptions opts;
+  opts.max_sessions = 2;
+  Engine engine(opts);
+  ASSERT_TRUE(engine.call(open_request(1, "a", "ring", 4, cfg)).ok);
+
+  // A failed open holds a place only until it is answered: the very next
+  // open, even on the same name, is admitted.
+  Request bad = open_request(2, "b", "ring", 4, cfg);
+  bad.config_text = "not a config";
+  const Response failed = engine.call(std::move(bad));
+  EXPECT_FALSE(failed.ok);
+  EXPECT_EQ(failed.error.find("admission denied"), std::string::npos) << failed.error;
+  ASSERT_TRUE(engine.call(open_request(3, "b", "ring", 4, cfg)).ok);
+  EXPECT_FALSE(engine.call(open_request(4, "c", "ring", 4, cfg)).ok);
+
+  // A duplicate open queued behind the one that creates the session also
+  // gives its place back once answered.
+  Engine dup(opts);
+  dup.pause();
+  std::atomic<int> answered{0};
+  const auto count = [&answered](Response) { ++answered; };
+  dup.submit(open_request(1, "x", "ring", 4, cfg), count);
+  dup.submit(open_request(2, "x", "ring", 4, cfg), count);
+  dup.resume();
+  dup.drain();
+  EXPECT_EQ(answered.load(), 2);
+  EXPECT_EQ(dup.session_count(), 1u);
+  EXPECT_TRUE(dup.call(open_request(3, "y", "ring", 4, cfg)).ok);
+  EXPECT_EQ(dup.metrics().admission_denied.value(), 0u);
+}
+
 TEST(Engine, SweepVerbMinesCriticalLinksAndViolations) {
   // A 3-node chain: both links are critical, and each breaks the policy.
   const topo::Topology t = topo::make_grid(3, 1);

@@ -1,7 +1,7 @@
-// run_service / EnginePool coverage: framing auto-detection end to end,
-// the exception-safe shutdown path (a throwing sink must not lose the
-// engine drain or the remaining responses), session sharding, and
-// admission control.
+// run_service coverage: framing auto-detection end to end, the
+// exception-safe shutdown path (a throwing sink must not lose the engine
+// drain or the remaining responses), and admission control on a pipelined
+// stream.
 
 #include "service/io.h"
 
@@ -14,7 +14,6 @@
 #include "config/builders.h"
 #include "config/print.h"
 #include "service/framing.h"
-#include "service/pool.h"
 #include "topo/generators.h"
 
 namespace rcfg::service {
@@ -237,88 +236,17 @@ TEST(RunService, ThrowingSinkStillDrainsAndAnswersTheRest) {
   EXPECT_NE(buf.bytes().find("\"id\":3"), std::string::npos) << buf.bytes();
 }
 
-TEST(EnginePool, ShardsSessionsAndMergesStats) {
-  PoolOptions options;
-  options.engines = 2;
-  EnginePool pool(options);
-
-  const std::string cfg = ring_config_text(4);
-  for (int i = 1; i <= 4; ++i) {
-    Request req;
-    req.id = static_cast<std::uint64_t>(i);
-    req.verb = Verb::kOpen;
-    req.session = "s" + std::to_string(i);
-    req.topology.kind = "ring";
-    req.topology.k = 4;
-    req.config_text = cfg;
-    ASSERT_TRUE(pool.call(std::move(req)).ok);
-  }
-  EXPECT_EQ(pool.session_count(), 4u);
-
-  Request stats;
-  stats.id = 99;
-  stats.verb = Verb::kStats;
-  const Response r = pool.call(std::move(stats));
-  ASSERT_TRUE(r.ok);
-  ASSERT_NE(r.body.find("engines"), nullptr);
-  EXPECT_EQ(r.body.find("engines")->as_array().size(), 2u);
-  ASSERT_NE(r.body.find("pool"), nullptr);
-  EXPECT_EQ(r.body.find("pool")->get_int("sessions"), 4);
-
-  // Sharding is a pure function of the name: resubmitting to a session must
-  // find it (same engine), regardless of which engine that is.
-  Request q;
-  q.id = 100;
-  q.verb = Verb::kQuery;
-  q.session = "s3";
-  EXPECT_TRUE(pool.call(std::move(q)).ok);
-}
-
-TEST(EnginePool, DeniesOpensBeyondMaxSessions) {
-  PoolOptions options;
-  options.engines = 2;
-  options.max_sessions = 2;
-  EnginePool pool(options);
-
-  const std::string cfg = ring_config_text(4);
-  const auto open = [&](std::uint64_t id, const std::string& name) {
-    Request req;
-    req.id = id;
-    req.verb = Verb::kOpen;
-    req.session = name;
-    req.topology.kind = "ring";
-    req.topology.k = 4;
-    req.config_text = cfg;
-    return pool.call(std::move(req));
-  };
-
-  ASSERT_TRUE(open(1, "a").ok);
-  ASSERT_TRUE(open(2, "b").ok);
-  const Response denied = open(3, "c");
-  EXPECT_FALSE(denied.ok);
-  EXPECT_NE(denied.error.find("admission denied"), std::string::npos) << denied.error;
-  EXPECT_EQ(denied.id, 3u);
-  EXPECT_EQ(pool.admission_denials(), 1u);
-  EXPECT_EQ(pool.session_count(), 2u);
-
-  // Non-open traffic to live sessions is unaffected by the cap.
-  Request q;
-  q.id = 4;
-  q.verb = Verb::kQuery;
-  q.session = "a";
-  EXPECT_TRUE(pool.call(std::move(q)).ok);
-}
-
-TEST(RunService, PoolEngagedThroughServiceOptions) {
+TEST(RunService, PipelinedOpensStopAtMaxSessions) {
+  // Every open is read and submitted before the first one is answered, so
+  // the admission count must include opens still in flight: exactly the
+  // first two are admitted, the rest are denied.
   ServiceOptions options;
-  options.engines = 2;
-  options.max_sessions = 1;
-  // The stats line is a synchronization point: it drains the pool, so the
-  // first open is fully processed (and counted) before the second open is
-  // even read — making the admission denial deterministic.
-  std::istringstream in(open_doc(1, "one", 4).dump() + "\n" +
-                        verb_doc(99, "", "stats").dump() + "\n" +
-                        open_doc(2, "two", 4).dump() + "\n");
+  options.engine.max_sessions = 2;
+  std::string script;
+  for (std::uint64_t id = 1; id <= 6; ++id) {
+    script += open_doc(id, "s" + std::to_string(id), 4).dump() + "\n";
+  }
+  std::istringstream in(script);
   std::ostringstream out;
   run_service(in, out, options);
 
@@ -326,14 +254,18 @@ TEST(RunService, PoolEngagedThroughServiceOptions) {
   std::istringstream lines(out.str());
   std::string line;
   while (std::getline(lines, line)) docs.push_back(json::Value::parse(line));
-  ASSERT_EQ(docs.size(), 3u);
-  const json::Value* first = find_by_id(docs, 1);
-  const json::Value* second = find_by_id(docs, 2);
-  ASSERT_NE(first, nullptr);
-  ASSERT_NE(second, nullptr);
-  EXPECT_TRUE(first->get_bool("ok"));
-  EXPECT_FALSE(second->get_bool("ok"));
-  EXPECT_NE(second->get_string("error").find("admission denied"), std::string::npos);
+  ASSERT_EQ(docs.size(), 6u) << out.str();
+  for (std::uint64_t id = 1; id <= 6; ++id) {
+    const json::Value* doc = find_by_id(docs, id);
+    ASSERT_NE(doc, nullptr) << id;
+    if (id <= 2) {
+      EXPECT_TRUE(doc->get_bool("ok")) << doc->dump();
+    } else {
+      EXPECT_FALSE(doc->get_bool("ok")) << doc->dump();
+      EXPECT_NE(doc->get_string("error").find("admission denied"), std::string::npos)
+          << doc->dump();
+    }
+  }
 }
 
 }  // namespace

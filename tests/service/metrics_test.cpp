@@ -122,6 +122,7 @@ TEST(Metrics, ReplicaAndLoadSectionsExported) {
   m.replicas_open.add(2);
   m.replica_catchup_ms.record(0.2);
   m.rejected_total.inc(3);
+  m.admission_denied.inc(2);
 
   const json::Value j = m.to_json();
   const json::Value* replicas = j.find("replicas");
@@ -134,6 +135,7 @@ TEST(Metrics, ReplicaAndLoadSectionsExported) {
   EXPECT_EQ(replicas->get_int("open_max"), 2);
   EXPECT_EQ(replicas->find("catchup_ms")->get_int("count"), 1);
   EXPECT_EQ(j.find("load")->get_int("rejected"), 3);
+  EXPECT_EQ(j.find("load")->get_int("admission_denied"), 2);
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 
 #include "config/builders.h"
 #include "config/print.h"
-#include "service/engine.h"
+#include "service/io.h"
 #include "service_test_util.h"
 #include "topo/generators.h"
 
@@ -382,9 +382,9 @@ TEST(Protocol, RcfgdTranscriptEndToEnd) {
 
   std::istringstream in(script.str());
   std::ostringstream out;
-  EngineOptions opts;
-  opts.workers = 2;
-  run_jsonl(in, out, opts);
+  ServiceOptions opts;
+  opts.engine.workers = 2;
+  run_service(in, out, opts);
 
   // One response line per request, keyed by id.
   std::map<std::int64_t, json::Value> by_id;
